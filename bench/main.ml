@@ -18,6 +18,7 @@ module Spec = Txn.Spec
 module Op = Txn.Op
 module Value = Txn.Value
 module Lockmgr = Txn.Lockmgr
+module Scenario = Harness.Scenario
 open Bechamel
 open Toolkit
 
@@ -101,25 +102,16 @@ let bench_lockmgr =
 (* Shared history for the checker benchmarks, generated once. *)
 let checker_history =
   lazy
-    (let sim = Sim.create ~seed:4 () in
-     let engine =
-       Engine.create sim
+    (Scenario.run ~settle:3.0
+       ~config:(fun c ->
          {
-           (Engine.default_config ~nodes:4) with
-           Engine.policy = Threev.Policy.Periodic 0.2;
-         }
-         ()
-     in
-     let gen =
-       Workload.Hospital.generator
-         {
-           (Workload.Hospital.default ~nodes:4) with
-           Workload.Hospital.arrival_rate = 600.;
-         }
-     in
-     (Harness.Runner.drive sim (Engine.packed engine) gen
-        { Harness.Runner.seed = 4; duration = 1.0; settle = 3.0; max_txns = 1000 })
-       .Harness.Runner.history)
+           c with
+           latency = Netsim.Latency.Constant 0.005;
+           think_time = 0.0001;
+         })
+       { Scenario.default with seed = 4; rate = 600.; duration = 1.0 })
+      .outcome
+      .history
 
 (* F1 family: the atomic-visibility checker over a realistic history. *)
 let bench_checker =
@@ -198,6 +190,248 @@ let run_micro () =
     micro_tests;
   Stats.Table.print table
 
+(* ------------------------------------------------------- smoke gates *)
+
+(* The checked sub-second CI gates, one table row each: a Harness.Scenario
+   — driven through the build, fault plan and verify path of `threev_sim
+   run` and the fuzzer, under knobs the command line cannot express (fanout,
+   keys per node, latency, think time, settle) — plus the gate's own
+   predicates. A gate fails (exit 1) on a failed predicate or verify check,
+   never on timing. Predicates and counts read the run before
+   [Scenario.verify] publishes the store with two more advancements. *)
+
+type gate = {
+  name : string;
+  headline : string;
+  drive : unit -> Scenario.run;
+  needs : (string * (Scenario.run -> bool)) list;
+      (** failure message, predicate *)
+  shows : (Scenario.run -> string) list;  (** the counts reported *)
+}
+
+let engine (r : Scenario.run) = Option.get r.engine
+let committed (r : Scenario.run) = r.outcome.Harness.Runner.committed
+let advancements r = Engine.advancements_completed (engine r)
+let stat name (r : Scenario.run) =
+  Stats.Counter_set.get r.outcome.Harness.Runner.stats name
+
+let count label f r = Printf.sprintf "%d %s" (f r) label
+let committed_some = ("no transactions committed", fun r -> committed r > 0)
+
+let run_gate g =
+  let r = g.drive () in
+  let counts = String.concat ", " (List.map (fun f -> f r) g.shows) in
+  let fail msg =
+    Printf.eprintf "%s: FAILED: %s (%s)\n" g.name msg counts;
+    exit 1
+  in
+  List.iter (fun (msg, ok) -> if not (ok r) then fail msg) g.needs;
+  List.iter
+    (fun (c : Scenario.check) ->
+      if not c.ok then fail (c.check_name ^ ": " ^ c.detail))
+    (Scenario.verify r).checks;
+  Printf.printf "%s: %s (%s)\n" g.name g.headline counts
+
+(* A run of [sc] over a small, hot synthetic key space. *)
+let smoke_run ~fanout (sc : Scenario.t) () =
+  Scenario.run ~settle:4.0 sc
+    ~gen:
+      Workload.Synthetic.(
+        generator
+          {
+            (default ~nodes:sc.nodes) with
+            arrival_rate = sc.rate;
+            shards = sc.shards;
+            read_ratio = sc.read_ratio;
+            fanout;
+            keys_per_node = 15;
+          })
+
+(* k = 3 over 6 nodes, one replica of group 0 crashed across an
+   advancement window. *)
+let replica_crash =
+  {
+    Scenario.default with
+    workload = W_synthetic;
+    nodes = 6;
+    replicas = 3;
+    duration = 0.9;
+    read_ratio = 0.3;
+    seed = 23;
+    fault_seed = 23;
+    atoms = [ Crash (0, 0.25, 0.7) ];
+  }
+
+let shard_history_digest (r : Scenario.run) =
+  List.fold_left
+    (fun acc ((spec : Spec.t), res) ->
+      acc
+      lxor Hashtbl.hash
+             ( spec.Spec.id,
+               Txn.Result.committed res,
+               res.Txn.Result.submit_time,
+               Txn.Result.latency res,
+               Txn.Result.blocking_latency res ))
+    0 r.outcome.Harness.Runner.history
+  land 0xffffffff
+
+let recorded_shard_digest = 0x1148858e
+
+let shard_run =
+  smoke_run ~fanout:3
+    {
+      Scenario.default with
+      workload = W_synthetic;
+      nodes = 8;
+      shards = 4;
+      replicas = 2;
+      duration = 0.9;
+      read_ratio = 0.35;
+      seed = 41;
+      fault_seed = 41;
+      atoms = [ Crash (2, 0.25, 0.7) ];
+    }
+
+let gates =
+  [
+    (* Quorum polling keeps advancing with the replica down. *)
+    {
+      name = "repl-smoke";
+      headline = "ok";
+      drive = smoke_run ~fanout:2 replica_crash;
+      needs =
+        [
+          committed_some;
+          ( "advancement stalled (quorum never reached with one replica down)",
+            fun r -> advancements r > 0 );
+        ];
+      shows =
+        [
+          count "committed" committed; count "advancements" advancements;
+          count "failovers" (stat "repl.failovers");
+          count "mirrors" (stat "repl.mirrors");
+          count "recoveries" (stat "repl.recoveries");
+        ];
+    };
+    (* The same crash with the failure detector on and a false-suspicion
+       storm against a live node: the detector must suspect, and the
+       falsely suspected node must re-earn trust. *)
+    {
+      name = "fd-smoke";
+      headline = "ok";
+      drive =
+        smoke_run ~fanout:2
+          {
+            replica_crash with
+            seed = 29;
+            fault_seed = 29;
+            hb_period = 0.02;
+            hb_timeout = 0.08;
+            phase_deadline = 0.5;
+            atoms = [ Hb_loss (3, 0.2, 0.6, 1.); Crash (0, 0.25, 0.7) ];
+          };
+      needs =
+        [
+          committed_some;
+          ("advancement stalled under suspicion", fun r -> advancements r > 0);
+          ("no heartbeats sent", fun r -> stat "fd.heartbeats_sent" r > 0);
+          ( "crash + storm provoked no suspicion",
+            fun r -> stat "fd.suspicions" r > 0 );
+          ( "no suspected node ever re-earned trust",
+            fun r -> stat "fd.recoveries" r > 0 );
+        ];
+      shows =
+        [
+          count "committed" committed; count "advancements" advancements;
+          count "heartbeats" (stat "fd.heartbeats_sent");
+          count "suspicions" (stat "fd.suspicions");
+          count "confirmed" (stat "fd.confirmed");
+          count "recoveries" (stat "fd.recoveries");
+          count "failovers" (stat "repl.failovers");
+        ];
+    };
+    (* 8 nodes, S = 4, k = 2 (each shard one replica group), one replica
+       crashed across an advancement window; updates stay in one shard
+       while reads fan out, exercising the cross-shard read-vector path.
+       Every shard must advance, and the schedule is pinned: the digest is
+       recorded (refresh it deliberately if a change reshapes multi-shard
+       schedules) and a second run must reproduce it. *)
+    {
+      name = "shard-smoke";
+      headline = "ok";
+      drive = shard_run;
+      needs =
+        [
+          committed_some;
+          ( "advancement stalled (every shard must advance)",
+            fun r -> advancements r >= 4 );
+          ( "no cross-shard read was ever assigned a vector (workload too \
+             tame)",
+            fun r -> stat "shard.vectored_reads" r > 0 );
+          ( Printf.sprintf
+              "schedule digest drift from the recorded 0x%08x (update the \
+               constant if the change is intentional)"
+              recorded_shard_digest,
+            fun r -> shard_history_digest r = recorded_shard_digest );
+          ( "replay diverged (same seeds, different multi-shard schedule)",
+            fun r ->
+              shard_history_digest (shard_run ()) = shard_history_digest r );
+        ];
+      shows =
+        [
+          count "committed" committed;
+          count "advancements over 4 shards" advancements;
+          count "vectored reads" (stat "shard.vectored_reads");
+          (fun r -> Printf.sprintf "digest 0x%08x" (shard_history_digest r));
+        ];
+    };
+  ]
+
+(* Scale-smoke's duplicate-filter leg: a lossy run over the reliable
+   channel, retransmit-heavy by construction. Ack-floor pruning must keep
+   the network's delivered_seen table at the in-flight window, not the run
+   length: entries survive only while acks are outstanding, so a tenth of
+   all traffic ever sent is far above any honest window and far below the
+   unpruned count. *)
+let lossy_gate =
+  let seen r = Engine.delivered_seen_size (engine r)
+  and msgs r = Engine.messages_sent (engine r) in
+  {
+    name = "scale-smoke";
+    headline = "delivered_seen bounded";
+    drive =
+      (fun () ->
+        Scenario.run ~settle:2.0
+          ~config:(fun c ->
+            {
+              c with
+              latency = Netsim.Latency.Exponential 0.002;
+              think_time = 0.0001;
+            })
+          {
+            Scenario.default with
+            workload = W_synthetic;
+            nodes = 6;
+            rate = 600.;
+            duration = 0.5;
+            seed = 11;
+            period = 0.25;
+            fault_seed = 11;
+            atoms = [ Loss 0.15 ];
+          });
+    needs =
+      [
+        ( "lossy channel run produced no retransmissions",
+          fun r -> stat "net.retransmissions" r > 0 );
+        ("delivered_seen unbounded", fun r -> seen r <= max 64 (msgs r / 10));
+      ];
+    shows =
+      [
+        count "entries" seen; count "messages" msgs;
+        count "retransmissions" (stat "net.retransmissions");
+      ];
+  }
+
 (* ------------------------------------------------------ scale suite *)
 
 (* The BENCH trajectory: end-to-end 3V runs at 4/16/64/128 nodes with an
@@ -206,6 +440,38 @@ let run_micro () =
    run traces through a small bounded ring (capacity 4096) to demonstrate
    that trace memory stays O(capacity) while the run emits orders of
    magnitude more events — the row records both retained and total. *)
+
+(* The trajectory suites' run: a 3V engine on [sim] over a fast network
+   (2 ms exponential latency, 0.1 ms think time), driven by the synthetic
+   workload (fanout 2) and timed on the wall clock. *)
+let timed_run sim ?trace ?faults (cfg : Engine.config) ?(read_ratio = 0.3) ~rate
+    ~seed ~duration ~settle () =
+  let engine =
+    Engine.create sim ?trace ?faults
+      {
+        cfg with
+        latency = Netsim.Latency.Exponential 0.002;
+        think_time = 0.0001;
+      }
+      ()
+  in
+  let gen =
+    Workload.Synthetic.(
+      generator
+        {
+          (default ~nodes:cfg.nodes) with
+          arrival_rate = rate;
+          shards = cfg.shards;
+          read_ratio;
+          fanout = 2;
+        })
+  in
+  let wall0 = Unix.gettimeofday () in
+  let outcome =
+    Harness.Runner.drive sim (Engine.packed engine) gen
+      { seed; duration; settle; max_txns = 500_000 }
+  in
+  (engine, outcome, Unix.gettimeofday () -. wall0)
 
 type scale_row = {
   sr_nodes : int;
@@ -236,8 +502,6 @@ let scale_run ?(shards = 1) ~nodes ~rate ~duration ~settle () =
   let cfg =
     {
       (Engine.default_config ~nodes) with
-      Engine.latency = Netsim.Latency.Exponential 0.002;
-      think_time = 0.0001;
       (* Advancement cadence: the 512/1024-node rows tighten the period —
          the low-staleness regime (staleness ∝ period, e3) where
          advancement cost dominates the coordinator's wall time and the
@@ -249,7 +513,7 @@ let scale_run ?(shards = 1) ~nodes ~rate ~duration ~settle () =
          seconds per 1024-node advancement: at 0.05 it is hopelessly
          saturated and the sharded side would be measured against a
          pathology rather than a busy-but-live baseline. *)
-      policy =
+      Engine.policy =
         Threev.Policy.Periodic
           (if nodes >= 1024 then 0.1 else if nodes >= 512 then 0.05 else 0.25);
       shards;
@@ -257,33 +521,9 @@ let scale_run ?(shards = 1) ~nodes ~rate ~duration ~settle () =
         max 16 (int_of_float (rate *. 0.01 /. float_of_int nodes));
     }
   in
-  let engine = Engine.create sim cfg ~trace () in
-  let gen =
-    Workload.Synthetic.generator
-      {
-        (Workload.Synthetic.default ~nodes) with
-        Workload.Synthetic.arrival_rate = rate;
-        shards;
-        read_ratio = 0.3;
-        fanout = 2;
-      }
+  let _, outcome, wall =
+    timed_run sim ~trace cfg ~rate ~seed:nodes ~duration ~settle ()
   in
-  let wall0 = Unix.gettimeofday () in
-  let outcome =
-    Harness.Runner.drive sim (Engine.packed engine) gen
-      { Harness.Runner.seed = nodes; duration; settle; max_txns = 500_000 }
-  in
-  let wall = Unix.gettimeofday () -. wall0 in
-  (if Sys.getenv_opt "SCALE_DEBUG_STATS" <> None then begin
-     Stats.Counter_set.to_list outcome.Harness.Runner.stats
-     |> List.sort (fun (_, a) (_, b) -> compare b a)
-     |> List.iter (fun (k, v) -> Printf.printf "    stat %-40s %d\n%!" k v);
-     let g = Gc.stat () in
-     Printf.printf
-       "    gc minor_cols=%d major_cols=%d minor_words=%.0fM promoted=%.0fM\n%!"
-       g.Gc.minor_collections g.Gc.major_collections
-       (g.Gc.minor_words /. 1e6) (g.Gc.promoted_words /. 1e6)
-   end);
   {
     sr_nodes = nodes;
     sr_rate = rate;
@@ -374,66 +614,42 @@ let run_scale ~quick =
     print_endline "scale: wrote BENCH_scale.json"
   end
 
-(* Scan [line] for [name]: and parse the float that follows. The BENCH
-   files are written by [scale_json] above with one row per line, so a
-   substring scan is an exact parser for our own output and avoids a JSON
-   dependency. *)
-let json_float_field line name =
-  let needle = "\"" ^ name ^ "\": " in
-  let nlen = String.length needle and llen = String.length line in
-  let rec find i =
-    if i + nlen > llen then None
-    else if String.sub line i nlen = needle then
-      let j = ref (i + nlen) in
-      while
-        !j < llen
-        && (match line.[!j] with '0' .. '9' | '.' | '-' | 'e' -> true | _ -> false)
-      do
-        incr j
-      done;
-      float_of_string_opt (String.sub line (i + nlen) (!j - i - nlen))
-    else find (i + 1)
-  in
-  find 0
-
 (* The recorded (events/sec-wall, peak heap words) of the BENCH_scale.json
-   row matching [(nodes, rate, shards)], if the trajectory file exists next
-   to the cwd. Rows written before the shards field existed match
-   [shards = 1]. The peak-heap component is [None] for rows written before
-   the field existed. *)
-let scale_baseline ?(shards = 1) ~nodes ~rate () =
-  match open_in "BENCH_scale.json" with
+   row matching [(nodes, rate, shards)], if the trajectory file exists in
+   the cwd. Rows written before the shards field existed match
+   [shards = 1]; the peak-heap component is [None] for rows written before
+   that field existed. *)
+let recorded_scale_row ~shards ~nodes ~rate =
+  match
+    In_channel.with_open_bin "BENCH_scale.json" (fun ic ->
+        really_input_string ic (in_channel_length ic))
+  with
   | exception Sys_error _ -> None
-  | ic ->
-      let target_n = Printf.sprintf "\"nodes\": %d," nodes in
-      let contains line sub =
-        let sl = String.length sub and ll = String.length line in
-        let rec go i =
-          i + sl <= ll && (String.sub line i sl = sub || go (i + 1))
-        in
-        go 0
+  | doc ->
+      let field k row =
+        match Json.member k row with
+        | Some (Json.Int i) -> Some (float_of_int i)
+        | Some (Json.Float f) -> Some f
+        | _ -> None
       in
-      let rec scan () =
-        match input_line ic with
-        | exception End_of_file ->
-            close_in ic;
-            None
-        | line ->
-            if
-              contains line target_n
-              && json_float_field line "arrival_rate" = Some rate
-              && (match json_float_field line "shards" with
-                 | Some s -> s = float_of_int shards
-                 | None -> shards = 1)
-            then begin
-              close_in ic;
-              match json_float_field line "events_per_sec_wall" with
-              | None -> None
-              | Some eps -> Some (eps, json_float_field line "peak_heap_words")
-            end
-            else scan ()
+      let rows =
+        match Json.member "rows" (Json.of_string doc) with
+        | Some (Json.List rows) -> rows
+        | _ -> []
       in
-      scan ()
+      List.find_map
+        (fun row ->
+          if
+            field "nodes" row = Some (float_of_int nodes)
+            && field "arrival_rate" row = Some rate
+            && Option.value (field "shards" row) ~default:1.
+               = float_of_int shards
+          then
+            Option.map
+              (fun eps -> (eps, field "peak_heap_words" row))
+              (field "events_per_sec_wall" row)
+          else None)
+        rows
 
 (* `main.exe scale-smoke`: the sub-second CI gate. Fails (exit 1) on crash
    or on the unbounded-memory sentinel — a trace ring that exceeded its
@@ -449,23 +665,12 @@ let run_scale_smoke () =
   let cfg =
     {
       (Engine.default_config ~nodes:8) with
-      Engine.latency = Netsim.Latency.Exponential 0.002;
-      think_time = 0.0001;
       policy = Threev.Policy.Periodic 0.25;
     }
   in
-  let engine = Engine.create sim cfg ~trace () in
-  let gen =
-    Workload.Synthetic.generator
-      {
-        (Workload.Synthetic.default ~nodes:8) with
-        Workload.Synthetic.arrival_rate = 1200.;
-        fanout = 2;
-      }
-  in
-  let outcome =
-    Harness.Runner.drive sim (Engine.packed engine) gen
-      { Harness.Runner.seed = 7; duration = 0.3; settle = 1.5; max_txns = 5_000 }
+  let _, outcome, _ =
+    timed_run sim ~trace cfg ~read_ratio:0.25 ~rate:1200. ~seed:7 ~duration:0.3
+      ~settle:1.5 ()
   in
   let fail msg =
     prerr_endline ("scale-smoke: FAILED: " ^ msg);
@@ -490,7 +695,7 @@ let run_scale_smoke () =
      heap is process-global and monotone, so rows probed after a 512-node
      run would inherit its footprint. *)
   let probe ~nodes ~rate ~shards ~runs ~duration ~floor_frac ~mem =
-    match scale_baseline ~shards ~nodes ~rate () with
+    match recorded_scale_row ~shards ~nodes ~rate with
     | None ->
         Printf.printf
           "scale-smoke: no baseline row for %d nodes @ %.0f S=%d, probe \
@@ -548,58 +753,7 @@ let run_scale_smoke () =
     ~floor_frac:0.4 ~mem:false;
   probe ~nodes:512 ~rate:38400. ~shards:8 ~runs:1 ~duration:0.1
     ~floor_frac:0.4 ~mem:false;
-  (* Duplicate-filter bound: a short lossy run over the reliable channel,
-     retransmit-heavy by construction. Ack-floor pruning must keep the
-     network's delivered_seen table at the in-flight window, not the run
-     length — before pruning, this table grew one entry per distinct
-     delivered (src, dst, seq) forever. *)
-  let sim2 = Sim.create ~seed:11 () in
-  let plan =
-    Fault.Plan.make ~seed:11 ~rules:(Fault.Plan.uniform_loss ~drop:0.15 ()) ()
-  in
-  let faults = Fault.Injector.create sim2 plan in
-  let cfg2 =
-    {
-      (Engine.default_config ~nodes:6) with
-      Engine.latency = Netsim.Latency.Exponential 0.002;
-      think_time = 0.0001;
-      policy = Threev.Policy.Periodic 0.25;
-      reliable_channel = true;
-      retransmit_timeout = 0.02;
-    }
-  in
-  let engine2 = Engine.create sim2 cfg2 ~faults () in
-  let gen2 =
-    Workload.Synthetic.generator
-      {
-        (Workload.Synthetic.default ~nodes:6) with
-        Workload.Synthetic.arrival_rate = 600.;
-        fanout = 2;
-      }
-  in
-  let outcome2 =
-    Harness.Runner.drive sim2 (Engine.packed engine2) gen2
-      { Harness.Runner.seed = 11; duration = 0.5; settle = 2.0; max_txns = 5_000 }
-  in
-  let retrans =
-    Stats.Counter_set.get outcome2.Harness.Runner.stats "net.retransmissions"
-  in
-  if retrans = 0 then fail "lossy channel run produced no retransmissions";
-  let seen = Engine.delivered_seen_size engine2 in
-  let msgs = Engine.messages_sent engine2 in
-  (* In-flight bound with slack: entries survive only for messages whose
-     acks are still outstanding. A tenth of all traffic ever sent is far
-     above any honest in-flight window and far below the unpruned count. *)
-  let bound = max 64 (msgs / 10) in
-  if seen > bound then
-    fail
-      (Printf.sprintf
-         "delivered_seen unbounded: %d entries after %d messages (bound %d)"
-         seen msgs bound);
-  Printf.printf
-    "scale-smoke: delivered_seen bounded (%d entries, %d messages, %d \
-     retransmissions)\n"
-    seen msgs retrans;
+  run_gate lossy_gate;
   Printf.printf
     "scale-smoke: ok (%d committed, %d sim events, trace %d/%d, cap %d)\n"
     outcome.Harness.Runner.committed (Sim.events_executed sim)
@@ -629,31 +783,15 @@ type repl_row = {
 
 let repl_run ~nodes ~replicas ~rate ~duration ~settle =
   let sim = Sim.create ~seed:(2000 + nodes + replicas) () in
-  let cfg =
-    {
-      (Engine.default_config ~nodes) with
-      Engine.replicas;
-      latency = Netsim.Latency.Exponential 0.002;
-      think_time = 0.0001;
-      policy = Threev.Policy.Periodic 0.25;
-    }
-  in
-  let engine = Engine.create sim cfg () in
-  let gen =
-    Workload.Synthetic.generator
+  let engine, outcome, wall =
+    timed_run sim
       {
-        (Workload.Synthetic.default ~nodes) with
-        Workload.Synthetic.arrival_rate = rate;
-        read_ratio = 0.3;
-        fanout = 2;
+        (Engine.default_config ~nodes) with
+        replicas;
+        policy = Threev.Policy.Periodic 0.25;
       }
+      ~rate ~seed:nodes ~duration ~settle ()
   in
-  let wall0 = Unix.gettimeofday () in
-  let outcome =
-    Harness.Runner.drive sim (Engine.packed engine) gen
-      { Harness.Runner.seed = nodes; duration; settle; max_txns = 500_000 }
-  in
-  let wall = Unix.gettimeofday () -. wall0 in
   {
     rr_nodes = nodes;
     rr_replicas = replicas;
@@ -717,78 +855,6 @@ let run_repl ~quick =
     print_endline "repl: wrote BENCH_repl.json"
   end
 
-(* `main.exe repl-smoke`: the sub-second replication CI gate — a tiny k = 3
-   run (6 nodes, two groups) that crashes one replica of group 0 across an
-   advancement window. Fails (exit 1) on any checker anomaly or on stalled
-   advancement — quorum polling must complete with the replica down — never
-   on timing. *)
-let run_repl_smoke () =
-  let nodes = 6 in
-  let sim = Sim.create ~seed:23 () in
-  let cfg =
-    {
-      (Engine.default_config ~nodes) with
-      Engine.replicas = 3;
-      latency = Netsim.Latency.Exponential 0.003;
-      think_time = 0.0005;
-      policy = Threev.Policy.Periodic 0.2;
-      reliable_channel = true;
-      retransmit_timeout = 0.02;
-    }
-  in
-  let faults =
-    Fault.Injector.create sim
-      (Fault.Plan.make ~seed:23
-         ~crashes:[ Fault.Plan.crash ~node:0 ~at:0.25 ~restart:0.7 ] ())
-  in
-  let engine = Engine.create sim cfg ~faults () in
-  let gen =
-    Workload.Synthetic.generator
-      {
-        (Workload.Synthetic.default ~nodes) with
-        Workload.Synthetic.arrival_rate = 400.;
-        read_ratio = 0.3;
-        fanout = 2;
-        keys_per_node = 15;
-      }
-  in
-  let outcome =
-    Harness.Runner.drive sim (Engine.packed engine) gen
-      { Harness.Runner.seed = 23; duration = 0.9; settle = 4.0; max_txns = 5_000 }
-  in
-  let fail msg =
-    prerr_endline ("repl-smoke: FAILED: " ^ msg);
-    exit 1
-  in
-  if outcome.Harness.Runner.committed = 0 then fail "no transactions committed";
-  if outcome.Harness.Runner.unfinished > 0 then
-    fail
-      (Printf.sprintf "%d transactions never settled"
-         outcome.Harness.Runner.unfinished);
-  if Engine.advancements_completed engine = 0 then
-    fail "advancement stalled (quorum never reached with one replica down)";
-  let srz = Checker.Serializability.certify outcome.Harness.Runner.history in
-  if not (Checker.Serializability.serializable srz) then
-    fail "history is not 1SR";
-  if
-    not
-      (Checker.Atomicity.clean
-         (Checker.Atomicity.check outcome.Harness.Runner.history))
-  then fail "atomic-visibility anomaly";
-  if
-    not
-      (Checker.Version_reads.clean
-         (Checker.Version_reads.check outcome.Harness.Runner.history))
-  then fail "version-read anomaly";
-  Printf.printf
-    "repl-smoke: ok (%d committed, %d advancements, %d failovers, %d \
-     mirrors, %d recoveries)\n"
-    outcome.Harness.Runner.committed
-    (Engine.advancements_completed engine)
-    (Stats.Counter_set.get outcome.Harness.Runner.stats "repl.failovers")
-    (Stats.Counter_set.get outcome.Harness.Runner.stats "repl.mirrors")
-    (Stats.Counter_set.get outcome.Harness.Runner.stats "repl.recoveries")
-
 (* -------------------------------------------- failure-detector suite *)
 
 (* The BENCH fd trajectory: 16-node k = 3 runs measuring what oracle-free
@@ -817,14 +883,12 @@ type fd_row = {
   fr_wall : float;
 }
 
-let fd_run ~label ~nodes ~rate ~duration ~settle ~fd ~storm =
+let fd_run ~label ~nodes ~rate ~duration ~settle ~fd ~storm:storm_on =
   let sim = Sim.create ~seed:(3000 + nodes) () in
   let cfg =
     {
       (Engine.default_config ~nodes) with
       Engine.replicas = 3;
-      latency = Netsim.Latency.Exponential 0.002;
-      think_time = 0.0001;
       policy = Threev.Policy.Periodic 0.25;
       reliable_channel = true;
       retransmit_timeout = 0.02;
@@ -833,32 +897,22 @@ let fd_run ~label ~nodes ~rate ~duration ~settle ~fd ~storm =
       phase_deadline = (if fd then 0.5 else infinity);
     }
   in
-  let plan =
-    if storm then
-      Fault.Plan.make ~seed:(3000 + nodes)
-        ~rules:
-          (Fault.Plan.heartbeat_loss ~src:1 ~from_:(0.3 *. duration)
-             ~until_:(0.7 *. duration) ())
-        ()
-    else Fault.Plan.none
-  in
-  let faults = Fault.Injector.create sim plan in
-  let engine = Engine.create sim cfg ~faults () in
-  let gen =
-    Workload.Synthetic.generator
+  let storm =
+    Scenario.plan
       {
-        (Workload.Synthetic.default ~nodes) with
-        Workload.Synthetic.arrival_rate = rate;
-        read_ratio = 0.3;
-        fanout = 2;
+        Scenario.default with
+        nodes;
+        fault_seed = 3000 + nodes;
+        atoms = [ Hb_loss (1, 0.3 *. duration, 0.7 *. duration, 1.) ];
       }
   in
-  let wall0 = Unix.gettimeofday () in
-  let outcome =
-    Harness.Runner.drive sim (Engine.packed engine) gen
-      { Harness.Runner.seed = nodes; duration; settle; max_txns = 500_000 }
+  let faults =
+    Fault.Injector.create sim
+      (if storm_on then Option.get storm else Fault.Plan.none)
   in
-  let wall = Unix.gettimeofday () -. wall0 in
+  let engine, outcome, wall =
+    timed_run sim ~faults cfg ~rate ~seed:nodes ~duration ~settle ()
+  in
   let c name = Stats.Counter_set.get outcome.Harness.Runner.stats name in
   {
     fr_label = label;
@@ -952,88 +1006,6 @@ let run_fd ~quick =
     print_endline "fd: wrote BENCH_fd.json"
   end
 
-(* `main.exe fd-smoke`: the sub-second liveness CI gate — a tiny k = 3 run
-   with the failure detector on, a real replica crash across an advancement
-   window AND a false-suspicion storm against a live node. Fails (exit 1)
-   if the detector never suspected, the falsely-suspected node never
-   re-earned trust, advancement stalled, any transaction failed to settle,
-   or any checker flagged the history — never on timing. *)
-let run_fd_smoke () =
-  let nodes = 6 in
-  let sim = Sim.create ~seed:29 () in
-  let cfg =
-    {
-      (Engine.default_config ~nodes) with
-      Engine.replicas = 3;
-      latency = Netsim.Latency.Exponential 0.003;
-      think_time = 0.0005;
-      policy = Threev.Policy.Periodic 0.2;
-      reliable_channel = true;
-      retransmit_timeout = 0.02;
-      hb_period = 0.02;
-      hb_timeout = 0.08;
-      phase_deadline = 0.5;
-    }
-  in
-  let faults =
-    Fault.Injector.create sim
-      (Fault.Plan.make ~seed:29
-         ~rules:(Fault.Plan.heartbeat_loss ~src:3 ~from_:0.2 ~until_:0.6 ())
-         ~crashes:[ Fault.Plan.crash ~node:0 ~at:0.25 ~restart:0.7 ] ())
-  in
-  let engine = Engine.create sim cfg ~faults () in
-  let gen =
-    Workload.Synthetic.generator
-      {
-        (Workload.Synthetic.default ~nodes) with
-        Workload.Synthetic.arrival_rate = 400.;
-        read_ratio = 0.3;
-        fanout = 2;
-        keys_per_node = 15;
-      }
-  in
-  let outcome =
-    Harness.Runner.drive sim (Engine.packed engine) gen
-      { Harness.Runner.seed = 29; duration = 0.9; settle = 4.0; max_txns = 5_000 }
-  in
-  let fail msg =
-    prerr_endline ("fd-smoke: FAILED: " ^ msg);
-    exit 1
-  in
-  let c name = Stats.Counter_set.get outcome.Harness.Runner.stats name in
-  if outcome.Harness.Runner.committed = 0 then fail "no transactions committed";
-  if outcome.Harness.Runner.unfinished > 0 then
-    fail
-      (Printf.sprintf "%d transactions never settled"
-         outcome.Harness.Runner.unfinished);
-  if Engine.advancements_completed engine = 0 then
-    fail "advancement stalled under suspicion";
-  if c "fd.heartbeats_sent" = 0 then fail "no heartbeats sent";
-  if c "fd.suspicions" = 0 then
-    fail "crash + storm provoked no suspicion";
-  if c "fd.recoveries" = 0 then
-    fail "no suspected node ever re-earned trust";
-  let srz = Checker.Serializability.certify outcome.Harness.Runner.history in
-  if not (Checker.Serializability.serializable srz) then
-    fail "history is not 1SR";
-  if
-    not
-      (Checker.Atomicity.clean
-         (Checker.Atomicity.check outcome.Harness.Runner.history))
-  then fail "atomic-visibility anomaly";
-  if
-    not
-      (Checker.Version_reads.clean
-         (Checker.Version_reads.check outcome.Harness.Runner.history))
-  then fail "version-read anomaly";
-  Printf.printf
-    "fd-smoke: ok (%d committed, %d advancements, %d heartbeats, %d \
-     suspicions, %d confirmed, %d recoveries, %d failovers)\n"
-    outcome.Harness.Runner.committed
-    (Engine.advancements_completed engine)
-    (c "fd.heartbeats_sent") (c "fd.suspicions") (c "fd.confirmed")
-    (c "fd.recoveries") (c "repl.failovers")
-
 (* `main.exe fuzz-smoke`: sub-second slice of the schedule-fuzz sweep —
    ten deterministic quick cases (two full engine rotations). Fails on any
    strict-engine 1SR violation, and requires the certifier to have flagged
@@ -1049,144 +1021,6 @@ let run_fuzz_smoke () =
     prerr_endline "fuzz-smoke: FAILED (no baseline anomaly flagged)";
     exit 1
   end
-
-(* `main.exe shard-smoke`: the sub-second sharding CI gate. An 8-node
-   S = 4, k = 2 run (each shard one replica group) with one replica
-   crashed across an advancement window and a shard-respecting workload —
-   updates confined to single shards, reads fanning out across them, so
-   the cross-shard read-vector path is genuinely exercised. Fails (exit 1)
-   on any checker anomaly, stalled advancement on any shard, an untouched
-   vector path, or schedule drift (the run is digest-pinned and replayed;
-   both the constant and the replay must match). *)
-let shard_smoke_run () =
-  let nodes = 8 in
-  let sim = Sim.create ~seed:41 () in
-  let cfg =
-    {
-      (Engine.default_config ~nodes) with
-      Engine.shards = 4;
-      replicas = 2;
-      latency = Netsim.Latency.Exponential 0.003;
-      think_time = 0.0005;
-      policy = Threev.Policy.Periodic 0.2;
-      reliable_channel = true;
-      retransmit_timeout = 0.02;
-    }
-  in
-  let faults =
-    Fault.Injector.create sim
-      (Fault.Plan.make ~seed:41
-         ~crashes:[ Fault.Plan.crash ~node:2 ~at:0.25 ~restart:0.7 ] ())
-  in
-  let engine = Engine.create sim cfg ~faults () in
-  let gen =
-    Workload.Synthetic.generator
-      {
-        (Workload.Synthetic.default ~nodes) with
-        Workload.Synthetic.shards = 4;
-        arrival_rate = 400.;
-        read_ratio = 0.35;
-        fanout = 3;
-        keys_per_node = 15;
-      }
-  in
-  let outcome =
-    Harness.Runner.drive sim (Engine.packed engine) gen
-      { Harness.Runner.seed = 41; duration = 0.9; settle = 4.0; max_txns = 5_000 }
-  in
-  (engine, outcome)
-
-let shard_history_digest (outcome : Harness.Runner.outcome) =
-  List.fold_left
-    (fun acc ((spec : Spec.t), res) ->
-      acc
-      lxor Hashtbl.hash
-             ( spec.Spec.id,
-               Txn.Result.committed res,
-               res.Txn.Result.submit_time,
-               Txn.Result.latency res,
-               Txn.Result.blocking_latency res ))
-    0 outcome.Harness.Runner.history
-
-let run_shard_smoke () =
-  let engine, outcome = shard_smoke_run () in
-  let fail msg =
-    prerr_endline ("shard-smoke: FAILED: " ^ msg);
-    exit 1
-  in
-  if outcome.Harness.Runner.committed = 0 then fail "no transactions committed";
-  if outcome.Harness.Runner.unfinished > 0 then
-    fail
-      (Printf.sprintf "%d transactions never settled"
-         outcome.Harness.Runner.unfinished);
-  if Engine.advancements_completed engine < 4 then
-    fail
-      (Printf.sprintf
-         "advancement stalled (%d completions across 4 shards; every shard \
-          must advance)"
-         (Engine.advancements_completed engine));
-  let vectored =
-    Stats.Counter_set.get outcome.Harness.Runner.stats "shard.vectored_reads"
-  in
-  if vectored = 0 then
-    fail "no cross-shard read was ever assigned a vector (workload too tame)";
-  let shard_of n = Engine.shard_of_node engine ~node:n in
-  let srz =
-    Checker.Serializability.certify ~shard_of_node:shard_of
-      outcome.Harness.Runner.history
-  in
-  if not (Checker.Serializability.serializable srz) then
-    fail "history is not 1SR";
-  if
-    not
-      (Checker.Atomicity.clean
-         (Checker.Atomicity.check outcome.Harness.Runner.history))
-  then fail "atomic-visibility anomaly";
-  if
-    not
-      (Checker.Version_reads.clean
-         (Checker.Version_reads.check
-            ~vector:(fun id -> Engine.assigned_vector engine ~txn:id)
-            ~shard_of_node:shard_of outcome.Harness.Runner.history))
-  then fail "version-read anomaly";
-  let lookup key =
-    let rec scan node =
-      if node < 0 then None
-      else
-        match
-          Mvstore.read_visible (Engine.store engine ~node) ~key
-            ~version:max_int
-        with
-        | Some (_, v) -> Some v
-        | None -> scan (node - 1)
-    in
-    scan (7)
-  in
-  if
-    not
-      (Checker.Replay.clean
-         (Checker.Replay.check outcome.Harness.Runner.history ~lookup))
-  then fail "replay divergence (settled stores disagree with the history)";
-  (* Schedule pin: the digest is recorded; drift means a change reshaped
-     multi-shard schedules (refresh deliberately if intended). The fresh
-     second run must also reproduce it — determinism under sharding. *)
-  let d = shard_history_digest outcome land 0xffffffff in
-  let expected = 0x1148858e in
-  if d <> expected then
-    fail
-      (Printf.sprintf
-         "schedule digest drift: got 0x%08x, recorded 0x%08x (update the \
-          constant if the change is intentional)"
-         d expected);
-  let _, outcome2 = shard_smoke_run () in
-  if shard_history_digest outcome2 land 0xffffffff <> d then
-    fail "replay diverged (same seeds, different multi-shard schedule)";
-  Printf.printf
-    "shard-smoke: ok (%d committed, %d advancements over 4 shards, %d \
-     vectored reads, digest 0x%08x)\n"
-    outcome.Harness.Runner.committed
-    (Engine.advancements_completed engine)
-    vectored d
 
 (* --------------------------------------------------------------- main *)
 
@@ -1213,9 +1047,7 @@ let () =
   if args = [ "smoke" ] then (run_smoke (); exit 0);
   if args = [ "scale-smoke" ] then (run_scale_smoke (); exit 0);
   if args = [ "fuzz-smoke" ] then (run_fuzz_smoke (); exit 0);
-  if args = [ "repl-smoke" ] then (run_repl_smoke (); exit 0);
-  if args = [ "fd-smoke" ] then (run_fd_smoke (); exit 0);
-  if args = [ "shard-smoke" ] then (run_shard_smoke (); exit 0);
+  List.iter (fun g -> if args = [ g.name ] then (run_gate g; exit 0)) gates;
   let quick = List.mem "--quick" args in
   if List.mem "scale" args then (run_scale ~quick; exit 0);
   if List.mem "repl" args then (run_repl ~quick; exit 0);

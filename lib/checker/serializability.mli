@@ -74,6 +74,3 @@ val serializable : report -> bool
 (** One-line graph summary: node/edge counts and the certification
     verdict. *)
 val pp : Format.formatter -> report -> unit
-
-(** Multi-line rendering of the cycle witness (no-op when acyclic). *)
-val pp_witness : Format.formatter -> report -> unit

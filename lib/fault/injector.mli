@@ -46,18 +46,14 @@ val plan : t -> Plan.t
     protocol schedules byte-identical to the fault-free run. *)
 val filter : t -> src:int -> dst:int -> delay:float -> float list
 
-(** The per-delivery filter for the heartbeat class (what {!install_hb}
-    plugs into the heartbeat side network): applies {e every} rule —
-    heartbeat-only ones and general ones, so a partition cuts heartbeats
-    too — plus the crash windows, with heartbeat-class [nth] hit counters
-    of its own. Accounting lands under ["fault.hb_*"]. *)
-val filter_hb : t -> src:int -> dst:int -> delay:float -> float list
-
 (** [install t net] sets [t]'s protocol filter on [net]. *)
 val install : t -> 'm Netsim.Network.t -> unit
 
 (** [install_hb t net] sets [t]'s heartbeat-class filter on [net]
-    (intended for {!Netsim.Heartbeat.network}). *)
+    (intended for {!Netsim.Heartbeat.network}). It applies {e every} rule —
+    heartbeat-only ones and general ones, so a partition cuts heartbeats
+    too — plus the crash windows, with heartbeat-class [nth] hit counters
+    of its own. Accounting lands under ["fault.hb_*"]. *)
 val install_hb : t -> 'm Netsim.Network.t -> unit
 
 (** Register the engine-side effects of node events. Hooks not provided

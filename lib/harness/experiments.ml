@@ -5,7 +5,6 @@ module Op = Txn.Op
 module Result = Txn.Result
 module Engine = Threev.Engine
 module Policy = Threev.Policy
-module Mvstore = Store.Mvstore
 module Counter_set = Stats.Counter_set
 module Histogram = Stats.Histogram
 module Table = Stats.Table
@@ -904,14 +903,7 @@ let run_e10 ~quick =
   (* 3V with and without the outage. *)
   let run_3v_case ~outage_on =
     let sim = Sim.create ~seed:151 () in
-    let cfg =
-      {
-        (Engine.default_config ~nodes) with
-        Engine.latency = Latency.Exponential 0.003;
-        think_time = 0.0005;
-        policy = Policy.Periodic 0.2;
-      }
-    in
+    let cfg = Scenario.engine_config { Scenario.default with nodes } in
     let engine = Engine.create sim cfg () in
     if outage_on then
       Engine.inject_pause engine ~node:paused_node ~at:outage_start
@@ -947,14 +939,7 @@ let run_e10 ~quick =
      it balloons while the node is frozen and drains right after. *)
   let timeline =
     let sim = Sim.create ~seed:151 () in
-    let cfg =
-      {
-        (Engine.default_config ~nodes) with
-        Engine.latency = Latency.Exponential 0.003;
-        think_time = 0.0005;
-        policy = Policy.Periodic 0.2;
-      }
-    in
+    let cfg = Scenario.engine_config { Scenario.default with nodes } in
     let engine = Engine.create sim cfg () in
     Engine.inject_pause engine ~node:paused_node ~at:outage_start
       ~duration:outage;
@@ -1167,12 +1152,9 @@ let run_e12 ~quick =
     let sim = Sim.create ~seed:163 () in
     let cfg =
       {
-        (Engine.default_config ~nodes) with
-        Engine.latency = Latency.Exponential 0.003;
-        think_time = 0.0005;
+        (Scenario.engine_config { Scenario.default with nodes }) with
         policy = Policy.Manual;
         reliable_channel = true;
-        retransmit_timeout = 0.02;
       }
     in
     let plan = if crash_on then plan_crash else Fault.Plan.none in
@@ -1277,14 +1259,12 @@ let run_e13 ~quick =
     let sim = Sim.create ~seed:171 () in
     let cfg =
       {
-        (Engine.default_config ~nodes) with
-        Engine.latency = Latency.Exponential 0.003;
-        think_time = 0.0005;
+        (Scenario.engine_config
+           { Scenario.default with nodes; phase_deadline })
+        with
         policy = Policy.Manual;
         reliable_channel = true;
         retransmit;
-        retransmit_timeout = 0.02;
-        phase_deadline;
       }
     in
     let faults = Fault.Injector.create sim plan in
@@ -1491,13 +1471,9 @@ let run_e14 ~quick =
     let sim = Sim.create ~seed:191 () in
     let cfg =
       {
-        (Engine.default_config ~nodes) with
-        Engine.latency = Latency.Exponential 0.003;
-        think_time = 0.0005;
+        (Scenario.engine_config { Scenario.default with nodes; replicas }) with
         policy = Policy.Manual;
         reliable_channel = true;
-        retransmit_timeout = 0.02;
-        replicas;
       }
     in
     let faults = Fault.Injector.create sim plan in
@@ -1506,9 +1482,7 @@ let run_e14 ~quick =
     Sim.schedule sim ~delay:0.95 (fun () -> adv := Some (Engine.advance engine));
     let outcome = Runner.drive sim (Engine.packed engine) gen setup in
     (* Publish everything so the settled store replays the history. *)
-    let a1 = Engine.advance engine and a2 = Engine.advance engine in
-    ignore (Sim.run sim ~until:(Sim.now sim +. 20.) ());
-    ignore (Simul.Ivar.is_full a1 && Simul.Ivar.is_full a2);
+    Scenario.publish sim engine;
     let completed =
       match !adv with Some iv -> Simul.Ivar.is_full iv | None -> false
     in
@@ -1537,39 +1511,6 @@ let run_e14 ~quick =
            ~keep:crash_keep ~at:crash_at ~restart:restart_at)
       ()
   in
-  (* All five checkers over a finished run: the 1SR certifier, atomic
-     visibility, the exact version-read oracle, final-store replay, and
-     the staleness measurement. *)
-  let certify (outcome : Runner.outcome) engine =
-    let history = outcome.Runner.history in
-    let srz = Checker.Serializability.certify history in
-    let atom = Checker.Atomicity.check history in
-    let vreads = Checker.Version_reads.check history in
-    let lookup key =
-      let rec scan node =
-        if node < 0 then None
-        else
-          match
-            Mvstore.read_visible (Engine.store engine ~node) ~key
-              ~version:max_int
-          with
-          | Some (_, v) -> Some v
-          | None -> scan (node - 1)
-      in
-      scan (nodes - 1)
-    in
-    let replay = Checker.Replay.check history ~lookup in
-    let stale = Checker.Staleness.measure history in
-    let anomalies =
-      (if Checker.Serializability.serializable srz then 0 else 1)
-      + srz.Checker.Serializability.unknown_count
-      + atom.Checker.Atomicity.partial_reads
-      + atom.Checker.Atomicity.dirty_reads
-      + vreads.Checker.Version_reads.violation_count
-      + replay.Checker.Replay.mismatch_count
-    in
-    (anomalies, stale)
-  in
   let table =
     Table.create
       ~title:
@@ -1581,7 +1522,12 @@ let run_e14 ~quick =
         ]
   in
   let add_row name (outcome : Runner.outcome) engine completed =
-    let anomalies, stale = certify outcome engine in
+    (* All five checkers over a finished run: the 1SR certifier, atomic
+       visibility, the exact version-read oracle, final-store replay, and
+       the staleness measurement. *)
+    let history = outcome.Runner.history in
+    let anomalies = (Scenario.certify ~engine history).anomalies in
+    let stale = Checker.Staleness.measure history in
     Table.add_row table
       [
         name;
@@ -1752,18 +1698,20 @@ let run_e15 ~quick =
     let sim = Sim.create ~seed:211 () in
     let cfg =
       {
-        (Engine.default_config ~nodes) with
-        Engine.latency = Latency.Exponential 0.003;
-        think_time = 0.0005;
+        (Scenario.engine_config
+           {
+             Scenario.default with
+             nodes;
+             replicas = k;
+             hb_period;
+             hb_timeout;
+             (* The watchdog is the degradation path for outages the
+                detector has not (yet) noticed, so it stays armed. *)
+             phase_deadline = 0.5;
+           })
+        with
         policy = Policy.Manual;
         reliable_channel = true;
-        retransmit_timeout = 0.02;
-        replicas = k;
-        hb_period;
-        hb_timeout;
-        (* The watchdog is the degradation path for outages the detector
-           has not (yet) noticed, so it stays armed. *)
-        phase_deadline = 0.5;
       }
     in
     let faults = Fault.Injector.create sim plan in
@@ -1771,9 +1719,7 @@ let run_e15 ~quick =
     let adv = ref None in
     Sim.schedule sim ~delay:0.95 (fun () -> adv := Some (Engine.advance engine));
     let outcome = Runner.drive sim (Engine.packed engine) gen setup in
-    let a1 = Engine.advance engine and a2 = Engine.advance engine in
-    ignore (Sim.run sim ~until:(Sim.now sim +. 20.) ());
-    ignore (Simul.Ivar.is_full a1 && Simul.Ivar.is_full a2);
+    Scenario.publish sim engine;
     let completed =
       match !adv with Some iv -> Simul.Ivar.is_full iv | None -> false
     in
@@ -1821,36 +1767,6 @@ let run_e15 ~quick =
            ~oneway:true ~from_:crash_at ~until_:(crash_at +. 0.3) ())
       ()
   in
-  let certify (outcome : Runner.outcome) engine =
-    let history = outcome.Runner.history in
-    let srz = Checker.Serializability.certify history in
-    let atom = Checker.Atomicity.check history in
-    let vreads = Checker.Version_reads.check history in
-    let lookup key =
-      let rec scan node =
-        if node < 0 then None
-        else
-          match
-            Mvstore.read_visible (Engine.store engine ~node) ~key
-              ~version:max_int
-          with
-          | Some (_, v) -> Some v
-          | None -> scan (node - 1)
-      in
-      scan (nodes - 1)
-    in
-    let replay = Checker.Replay.check history ~lookup in
-    let stale = Checker.Staleness.measure history in
-    let anomalies =
-      (if Checker.Serializability.serializable srz then 0 else 1)
-      + srz.Checker.Serializability.unknown_count
-      + atom.Checker.Atomicity.partial_reads
-      + atom.Checker.Atomicity.dirty_reads
-      + vreads.Checker.Version_reads.violation_count
-      + replay.Checker.Replay.mismatch_count
-    in
-    (anomalies, stale)
-  in
   let table =
     Table.create
       ~title:
@@ -1864,7 +1780,12 @@ let run_e15 ~quick =
         ]
   in
   let add_row name (outcome : Runner.outcome) engine completed =
-    let anomalies, stale = certify outcome engine in
+    (* All five checkers over a finished run: the 1SR certifier, atomic
+       visibility, the exact version-read oracle, final-store replay, and
+       the staleness measurement. *)
+    let history = outcome.Runner.history in
+    let anomalies = (Scenario.certify ~engine history).anomalies in
+    let stale = Checker.Staleness.measure history in
     Table.add_row table
       [
         name;
@@ -2127,23 +2048,11 @@ let run_a3 ~quick =
     in
     let outcome = Runner.drive sim (Engine.packed engine) gen setup in
     (* Publish everything, then replay-check the settled store. *)
-    let a1 = Engine.advance engine and a2 = Engine.advance engine in
-    ignore (Sim.run sim ~until:(Sim.now sim +. 20.) ());
-    ignore (Simul.Ivar.is_full a1 && Simul.Ivar.is_full a2);
-    let lookup key =
-      let rec scan node =
-        if node < 0 then None
-        else
-          match
-            Mvstore.read_visible (Engine.store engine ~node) ~key
-              ~version:max_int
-          with
-          | Some (_, v) -> Some v
-          | None -> scan (node - 1)
-      in
-      scan (nodes - 1)
+    Scenario.publish sim engine;
+    let replay =
+      Checker.Replay.check outcome.Runner.history
+        ~lookup:(Scenario.settled_lookup engine)
     in
-    let replay = Checker.Replay.check outcome.Runner.history ~lookup in
     Table.add_row table
       [
         (if dual then "dual writes (paper §2.3)" else "own-version only");

@@ -7,13 +7,13 @@
     paper mapping and EXPERIMENTS.md for recorded outputs. *)
 
 type t = {
-  id : string;  (** "t1", "f1", "f2", "e1" .. "e12", "a1" .. "a4" *)
+  id : string;  (** "t1", "f1", "f2", "e1" .. "e15", "a1" .. "a4" *)
   title : string;
   paper_ref : string;  (** which part of the paper this reproduces *)
   run : quick:bool -> string;  (** rendered report *)
 }
 
-(** All experiments, in presentation order (t1, f1, f2, e1..e12, a1..a4). *)
+(** All experiments, in presentation order (t1, f1, f2, e1..e15, a1..a4). *)
 val all : t list
 
 (** Look an experiment up by id (case-insensitive). *)

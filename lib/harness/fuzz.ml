@@ -1,10 +1,5 @@
 module Sim = Simul.Sim
 module Latency = Netsim.Latency
-module Result = Txn.Result
-module Engine = Threev.Engine
-module Policy = Threev.Policy
-module Mvstore = Store.Mvstore
-module Srz = Checker.Serializability
 
 type engine_kind =
   | E3v
@@ -26,57 +21,23 @@ let engine_label = function
   | E_nocoord -> "nocoord"
   | E_manual -> "manual"
 
-(* The failure-detector cases pin these; the rendered reproducer lines
-   carry the same values so `threev_sim run` replays the same suspicion
-   schedule. *)
-let fd_hb_period = 0.02
-let fd_hb_timeout = 0.08
-let fd_phase_deadline = 0.5
-
-type atom =
+(* The scenario's constructors, in scope for the case derivation below. *)
+type atom = Scenario.atom =
   | Loss of float
   | Dup of float
   | Partition of int * int * float * float
   | Partition_set of int list * float * float * bool
   | Crash of int * float * float
   | Coord_crash of float * float
+  | Data_crash of int * float * float
   | Hb_loss of int * float * float * float
 
-let atom_flag = function
-  | Loss p -> Printf.sprintf "--drop-prob %g" p
-  | Dup p -> Printf.sprintf "--dup-prob %g" p
-  | Partition (s, d, f, u) -> Printf.sprintf "--partition %d:%d:%g:%g" s d f u
-  | Partition_set (set, f, u, oneway) ->
-      Printf.sprintf "--partition %s@%g:%g%s"
-        (String.concat "," (List.map string_of_int set))
-        f u
-        (if oneway then ":oneway" else "")
-  | Crash (n, a, r) -> Printf.sprintf "--crash %d@%g:%g" n a r
-  | Coord_crash (a, r) -> Printf.sprintf "--coord-crash %g:%g" a r
-  | Hb_loss (n, f, u, p) ->
-      if p >= 1. then Printf.sprintf "--hb-loss %d@%g:%g" n f u
-      else Printf.sprintf "--hb-loss %d@%g:%g:%g" n f u p
-
-type workload_kind = W_synthetic | W_hospital | W_pos
-
-let workload_label = function
-  | W_synthetic -> "synthetic"
-  | W_hospital -> "hospital"
-  | W_pos -> "pos"
+type workload = Scenario.workload = W_hospital | W_calls | W_pos | W_synthetic
 
 type case = {
   index : int;
   engine : engine_kind;
-  workload : workload_kind;
-  nodes : int;
-  replicas : int;
-  shards : int;
-  seed : int;
-  fault_seed : int;
-  rate : float;
-  read_ratio : float;
-  nc_ratio : float;
-  duration : float;
+  scenario : Scenario.t;
   atoms : atom list;
 }
 
@@ -253,107 +214,39 @@ let case_of_index ~fuzz_seed ~quick index =
         else []
     | _ -> []
   in
-  {
-    index; engine; workload; nodes; replicas; shards; seed; fault_seed; rate;
-    read_ratio; nc_ratio; duration; atoms;
-  }
+  let scenario =
+    {
+      Scenario.default with
+      engine =
+        (match engine with
+        | E2pc -> E_2pc
+        | E_nocoord -> E_nocoord
+        | E_manual -> E_manual
+        | _ -> E_3v);
+      workload; nodes; replicas; shards; rate; duration; seed; read_ratio;
+      nc_ratio; fault_seed; atoms = Scenario.canonical atoms;
+    }
+  in
+  (* Failure-detector cases pin the detector on, with the watchdog armed. *)
+  let scenario =
+    if engine <> E3v_fd then scenario
+    else
+      {
+        scenario with
+        hb_period = 0.02;
+        hb_timeout = 0.08;
+        phase_deadline = 0.5;
+      }
+  in
+  { index; engine; scenario; atoms }
 
 (* --------------------------------------------------------- execution *)
 
-let plan_of_atoms ~fault_seed ~nodes ~shards atoms =
-  if atoms = [] then None
-  else
-    let drop = List.find_map (function Loss p -> Some p | _ -> None) atoms in
-    let dup = List.find_map (function Dup p -> Some p | _ -> None) atoms in
-    let rules =
-      (if drop = None && dup = None then []
-       else
-         Fault.Plan.uniform_loss
-           ?dup ~drop:(Option.value drop ~default:0.) ())
-      @ List.concat_map
-          (function
-            | Partition (src, dst, from_, until_) ->
-                [ Fault.Plan.partition ~src ~dst ~from_ ~until_ ]
-            | Partition_set (set, from_, until_, oneway) ->
-                (* The engine's endpoint space is the data nodes plus one
-                   coordinator per shard at ids [nodes..nodes+S-1]. *)
-                Fault.Plan.partition_set ~universe:(nodes + shards) ~set
-                  ~oneway ~from_ ~until_ ()
-            | Hb_loss (src, from_, until_, prob) ->
-                Fault.Plan.heartbeat_loss ~src ~prob ~from_ ~until_ ()
-            | _ -> [])
-          atoms
-    in
-    let crashes =
-      List.filter_map
-        (function
-          | Crash (node, at, restart) ->
-              Some (Fault.Plan.crash ~node ~at ~restart)
-          | _ -> None)
-        atoms
-    in
-    let coord_crashes =
-      List.filter_map
-        (function
-          | Coord_crash (at, restart) ->
-              Some (Fault.Plan.coord_crash ~at ~restart)
-          | _ -> None)
-        atoms
-    in
-    Some (Fault.Plan.make ~seed:fault_seed ~rules ~crashes ~coord_crashes ())
-
-(* Workload construction mirrors `threev_sim run` for the strict engines,
-   so the rendered run command reproduces the same generator stream. The
-   expected-anomaly baselines use the proven anomaly-seeding shapes of F1
-   (no-coordination) and E8 (manual versioning) instead. *)
-let gen_of case =
-  let nodes = case.nodes in
-  match (case.engine, case.workload) with
-  | (E_nocoord, _) ->
-      Workload.Hospital.generator
-        {
-          (Workload.Hospital.default ~nodes) with
-          Workload.Hospital.front_end = true;
-          arrival_rate = case.rate;
-          read_ratio = case.read_ratio;
-          visit_fanout = 2;
-        }
-  | (E_manual, _) ->
-      Workload.Hospital.generator
-        {
-          (Workload.Hospital.default ~nodes) with
-          Workload.Hospital.arrival_rate = case.rate;
-          read_ratio = case.read_ratio;
-          patients = 25;
-          visit_fanout = 3;
-          post_delay = 0.08;
-        }
-  | (_, W_synthetic) ->
-      Workload.Synthetic.generator
-        {
-          (Workload.Synthetic.default ~nodes) with
-          Workload.Synthetic.arrival_rate = case.rate;
-          shards = case.shards;
-          read_ratio = case.read_ratio;
-          nc_ratio = case.nc_ratio;
-        }
-  | (_, W_hospital) ->
-      Workload.Hospital.generator
-        {
-          (Workload.Hospital.default ~nodes) with
-          Workload.Hospital.arrival_rate = case.rate;
-          read_ratio = case.read_ratio;
-        }
-  | (_, W_pos) ->
-      Workload.Point_of_sale.generator
-        {
-          (Workload.Point_of_sale.default ~nodes) with
-          Workload.Point_of_sale.arrival_rate = case.rate;
-          read_ratio = case.read_ratio;
-          nc_ratio = case.nc_ratio;
-        }
-
-type check = { check_name : string; ok : bool; detail : string }
+type check = Scenario.check = {
+  check_name : string;
+  ok : bool;
+  detail : string;
+}
 
 type verdict = Clean | Anomaly of string list | Failure of check list
 
@@ -366,179 +259,80 @@ type case_report = {
   reproducers : string list;
 }
 
-let strict = function
-  | E3v | E3v_nc | E3v_repl | E3v_fd | E3v_shard | E2pc -> true
-  | E_nocoord | E_manual -> false
-
-(* Drive [case] with fault atoms [atoms] (usually [case.atoms]; subsets
-   during shrinking) and run every applicable checker. *)
-let execute case atoms =
-  let sim = Sim.create ~seed:case.seed () in
-  let plan =
-    plan_of_atoms ~fault_seed:case.fault_seed ~nodes:case.nodes
-      ~shards:case.shards atoms
-  in
-  let faults = Option.map (Fault.Injector.create sim) plan in
-  let gen = gen_of case in
-  let setup =
+(* The expected-anomaly baselines run the proven anomaly-seeding shapes of
+   F1 (no-coordination front end) and E8 (manual versioning with
+   stragglers) rather than the command line's workloads. *)
+let run_baseline case : Scenario.run =
+  let sc : Scenario.t = case.scenario in
+  let nodes = sc.nodes in
+  let hospital =
     {
-      Runner.default_setup with
-      Runner.seed = case.seed;
-      duration = case.duration;
-      settle = 5.0;
+      (Workload.Hospital.default ~nodes) with
+      arrival_rate = sc.rate;
+      read_ratio = sc.read_ratio;
     }
   in
-  let outcome, lookup, vector =
-    match case.engine with
-    | E3v | E3v_nc | E3v_repl | E3v_fd | E3v_shard ->
-        let fd = case.engine = E3v_fd in
-        let cfg =
-          {
-            (Engine.default_config ~nodes:case.nodes) with
-            Engine.latency = Latency.Exponential 0.003;
-            policy = Policy.Periodic 0.2;
-            nc_mode = case.engine = E3v_nc;
-            think_time = 0.0005;
-            reliable_channel = plan <> None || fd;
-            retransmit_timeout = 0.02;
-            replicas = case.replicas;
-            shards = case.shards;
-            hb_period = (if fd then fd_hb_period else 0.);
-            hb_timeout = (if fd then fd_hb_timeout else 0.1);
-            phase_deadline = (if fd then fd_phase_deadline else infinity);
-          }
-        in
-        let engine = Engine.create sim cfg ?faults () in
-        let outcome = Runner.drive sim (Engine.packed engine) gen setup in
-        (* Publish everything, then replay-check the settled store. *)
-        let a1 = Engine.advance engine and a2 = Engine.advance engine in
-        ignore (Sim.run sim ~until:(Sim.now sim +. 20.) ());
-        ignore (Simul.Ivar.is_full a1 && Simul.Ivar.is_full a2);
-        let lookup key =
-          let rec scan node =
-            if node < 0 then None
-            else
-              match
-                Mvstore.read_visible (Engine.store engine ~node) ~key
-                  ~version:max_int
-              with
-              | Some (_, v) -> Some v
-              | None -> scan (node - 1)
-          in
-          scan (case.nodes - 1)
-        in
-        let vector =
-          if case.shards > 1 then
-            Some (fun txn -> Engine.assigned_vector engine ~txn)
-          else None
-        in
-        (outcome, Some lookup, vector)
-    | E2pc ->
-        let cfg =
-          {
-            (Baselines.Global_2pc.default_config ~nodes:case.nodes) with
-            Baselines.Global_2pc.latency = Latency.Exponential 0.003;
-            think_time = 0.0005;
-            deadlock_timeout = 0.05;
-          }
-        in
-        let engine = Baselines.Global_2pc.create ?faults sim cfg in
-        ( Runner.drive sim (Baselines.Global_2pc.packed engine) gen setup,
-          None,
-          None )
-    | E_nocoord ->
-        let cfg =
-          {
-            (Baselines.No_coord.default_config ~nodes:case.nodes) with
-            Baselines.No_coord.latency = Latency.Exponential 0.003;
-            think_time = 0.0005;
-          }
-        in
-        let engine = Baselines.No_coord.create sim cfg in
-        ( Runner.drive sim (Baselines.No_coord.packed engine) gen setup,
-          None,
-          None )
-    | E_manual ->
-        let cfg =
-          {
-            (Baselines.Manual_versioning.default_config ~nodes:case.nodes) with
-            Baselines.Manual_versioning.latency = Latency.Uniform (0.0005, 0.012);
-            think_time = 0.0005;
-            period = 0.2;
-            safety_delay = (if case.seed land 1 = 0 then 0. else 0.005);
-          }
-        in
-        let engine = Baselines.Manual_versioning.create sim cfg in
-        ( Runner.drive sim (Baselines.Manual_versioning.packed engine) gen setup,
-          None,
-          None )
-  in
-  let history = outcome.Runner.history in
-  (* Per-shard version numbers are incomparable across shards: the
-     certifiers only order same-shard versions, and exact-version reads
-     are fenced per key by the assigned read vector. *)
-  let shard_of_node =
-    if case.shards > 1 then Some (fun n -> n / (case.nodes / case.shards))
-    else None
-  in
-  let srz = Srz.certify ?shard_of_node history in
-  let atomr = Checker.Atomicity.check history in
-  let checks =
-    [
-      {
-        check_name = "serializability";
-        ok = Srz.serializable srz && srz.Srz.unknown_count = 0;
-        detail = Format.asprintf "%a" Srz.pp srz;
-      };
-      {
-        check_name = "atomicity";
-        ok = Checker.Atomicity.clean atomr;
-        detail = Format.asprintf "%a" Checker.Atomicity.pp atomr;
-      };
-    ]
-    @ (match case.engine with
-      | E3v | E3v_nc | E3v_repl | E3v_fd | E3v_shard ->
-          let vr = Checker.Version_reads.check ?vector ?shard_of_node history in
-          [
-            {
-              check_name = "version-reads";
-              ok = Checker.Version_reads.clean vr;
-              detail = Format.asprintf "%a" Checker.Version_reads.pp vr;
-            };
-          ]
-      | _ -> [])
-    @ (match lookup with
-      | Some lookup ->
-          let rp = Checker.Replay.check history ~lookup in
-          [
-            {
-              check_name = "replay";
-              ok = Checker.Replay.clean rp;
-              detail = Format.asprintf "%a" Checker.Replay.pp rp;
-            };
-          ]
-      | None -> [])
-    @
-    if strict case.engine then
-      [
+  match case.engine with
+  | E_nocoord ->
+      Scenario.run sc
+        ~gen:
+          (Workload.Hospital.generator
+             { hospital with front_end = true; visit_fanout = 2 })
+  | _ ->
+      let sim = Sim.create ~seed:sc.seed () in
+      let packed =
+        Baselines.Manual_versioning.(
+          packed
+            (create sim
+               {
+                 (default_config ~nodes) with
+                 latency = Latency.Uniform (0.0005, 0.012);
+                 think_time = 0.0005;
+                 period = 0.2;
+                 safety_delay = (if sc.seed land 1 = 0 then 0. else 0.005);
+               }))
+      in
+      let gen =
+        Workload.Hospital.generator
+          { hospital with patients = 25; visit_fanout = 3; post_delay = 0.08 }
+      in
+      let setup =
         {
-          check_name = "settled";
-          ok = outcome.Runner.unfinished = 0;
-          detail =
-            Printf.sprintf "unfinished=%d of %d submitted"
-              outcome.Runner.unfinished outcome.Runner.submitted;
-        };
-      ]
-    else []
+          Runner.default_setup with
+          seed = sc.seed;
+          duration = sc.duration;
+          settle = 5.0;
+        }
+      in
+      {
+        scenario = sc;
+        sim;
+        outcome = Runner.drive sim packed gen setup;
+        engine = None;
+      }
+
+let strict case = Scenario.strict case.scenario.engine
+
+(* The scenario of [case] with fault atoms [atoms] (usually [case.atoms];
+   subsets during shrinking). *)
+let with_atoms case atoms =
+  { case.scenario with Scenario.atoms = Scenario.canonical atoms }
+
+(* Drive [case] with fault atoms [atoms] and run every applicable
+   checker. *)
+let execute case atoms =
+  let r =
+    if strict case then Scenario.run (with_atoms case atoms)
+    else run_baseline case
   in
-  (outcome, srz, checks)
+  (r.Scenario.outcome, (Scenario.verify r).Scenario.checks)
 
 (* ----------------------------------------------------------- shrink *)
 
 let fails case atoms =
   match execute case atoms with
   | exception _ -> true
-  | _, _, checks -> List.exists (fun c -> not c.ok) checks
+  | _, checks -> List.exists (fun c -> not c.ok) checks
 
 (* Greedy delta-debugging: drop each atom in turn; keep the drop whenever
    the case still fails without it. *)
@@ -559,44 +353,8 @@ let fuzz_reproducer ~fuzz_seed ~quick case =
     (if quick then " --quick" else "")
 
 let run_reproducer case atoms =
-  let engine_flag =
-    match case.engine with
-    | E3v | E3v_nc | E3v_repl | E3v_fd | E3v_shard -> "3v"
-    | E2pc -> "2pc"
-    | E_nocoord -> "nocoord"
-    | E_manual -> "manual"
-  in
   String.concat " "
-    ([
-       "threev_sim run";
-       "--engine"; engine_flag;
-       "--workload"; workload_label case.workload;
-       Printf.sprintf "--nodes %d" case.nodes;
-       Printf.sprintf "--rate %g" case.rate;
-       Printf.sprintf "--duration %g" case.duration;
-       Printf.sprintf "--seed %d" case.seed;
-       Printf.sprintf "--read-ratio %g" case.read_ratio;
-     ]
-    @ (if case.replicas > 1 then
-         [ Printf.sprintf "--replicas %d" case.replicas ]
-       else [])
-    @ (if case.shards > 1 then [ Printf.sprintf "--shards %d" case.shards ]
-       else [])
-    @ (if case.nc_ratio > 0. then
-         [ Printf.sprintf "--nc-ratio %g" case.nc_ratio ]
-       else [])
-    @ (if case.engine = E3v_fd then
-         [
-           Printf.sprintf "--hb-period %g" fd_hb_period;
-           Printf.sprintf "--hb-timeout %g" fd_hb_timeout;
-           Printf.sprintf "--phase-deadline %g" fd_phase_deadline;
-         ]
-       else [])
-    @
-    if atoms = [] then []
-    else
-      Printf.sprintf "--fault-seed %d" case.fault_seed
-      :: List.map atom_flag atoms)
+    ("threev_sim run" :: Scenario.to_argv (with_atoms case atoms))
 
 (* ----------------------------------------------------------- verdict *)
 
@@ -623,16 +381,15 @@ let run_case ~fuzz_seed ~quick case =
       finish ~verdict:(Failure [ c ]) ~committed:0 ~unfinished:0
         ~shrunk:None
         ~extra_repro:
-          (if strict case.engine then [ run_reproducer case case.atoms ]
-           else [])
-  | outcome, _srz, checks ->
+          (if strict case then [ run_reproducer case case.atoms ] else [])
+  | outcome, checks ->
       let failed = List.filter (fun c -> not c.ok) checks in
       let committed = outcome.Runner.committed in
       let unfinished = outcome.Runner.unfinished in
       if failed = [] then
         finish ~verdict:Clean ~committed ~unfinished ~shrunk:None
           ~extra_repro:[]
-      else if strict case.engine then begin
+      else if strict case then begin
         let shrunk =
           if case.atoms = [] then None else Some (shrink case)
         in
@@ -667,7 +424,7 @@ let case_line r =
   let c = r.case in
   let faults =
     if c.atoms = [] then "fault-free"
-    else String.concat " " (List.map atom_flag c.atoms)
+    else String.concat " " (List.map Scenario.atom_flag c.atoms)
   in
   let verdict =
     match r.verdict with
@@ -678,7 +435,9 @@ let case_line r =
         ^ String.concat ", " (List.map (fun c -> c.check_name) checks)
   in
   Printf.sprintf "case %3d  %-7s %-9s n=%d seed=%-5d %-40s committed=%-4d %s"
-    c.index (engine_label c.engine) (workload_label c.workload) c.nodes c.seed
+    c.index (engine_label c.engine)
+    (Scenario.workload_name c.scenario.Scenario.workload)
+    c.scenario.Scenario.nodes c.scenario.Scenario.seed
     faults r.committed verdict
 
 let sweep ?(runs = 50) ?(fuzz_seed = 1) ?only ?(quick = false) ?(log = ignore)
@@ -706,7 +465,7 @@ let sweep ?(runs = 50) ?(fuzz_seed = 1) ?only ?(quick = false) ?(log = ignore)
                   ("      shrunk fault plan: "
                   ^
                   if atoms = [] then "(empty — faults not needed)"
-                  else String.concat " " (List.map atom_flag atoms))
+                  else String.concat " " (List.map Scenario.atom_flag atoms))
             | None -> ());
             List.iter (fun s -> log ("      reproduce: " ^ s)) r.reproducers);
         r)

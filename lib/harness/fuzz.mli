@@ -18,7 +18,10 @@
     case [I] of any sweep. On a strict failure under faults the harness
     additionally shrinks the fault plan greedily (dropping atoms whose
     removal keeps the case failing) and renders a standalone
-    [threev_sim run ...] command line for the shrunk plan. *)
+    [threev_sim run ...] command line for the shrunk plan. Strict engines
+    build, run and check through {!Scenario}; the expected-anomaly
+    baselines keep their own anomaly-seeding shapes but share
+    {!Scenario.verify}. *)
 
 type engine_kind =
   | E3v
@@ -30,50 +33,18 @@ type engine_kind =
   | E_nocoord
   | E_manual
 
-(** Short engine label for reports and reproducer command lines
-    (e.g. "3v", "2pc"). *)
-val engine_label : engine_kind -> string
-
-(** One fault-plan ingredient, kept atomic so a failing plan can be
-    shrunk element-wise and rendered back to [threev_sim run] flags. *)
-type atom =
-  | Loss of float  (** uniform remote-message drop probability *)
-  | Dup of float  (** uniform duplication probability *)
-  | Partition of int * int * float * float  (** src, dst, from, until *)
-  | Partition_set of int list * float * float * bool
-      (** set, from, until, oneway: the set is cut off from the rest of the
-          cluster for the window — only its outbound links when [oneway] *)
-  | Crash of int * float * float  (** node, at, restart *)
-  | Coord_crash of float * float  (** at, restart *)
-  | Hb_loss of int * float * float * float
-      (** node, from, until, prob: drop the node's outgoing heartbeats —
-          false-suspicion provocation, protocol traffic untouched *)
-
-(** Renders an atom as the [threev_sim run] flag that reproduces it. *)
-val atom_flag : atom -> string
-
-type workload_kind = W_synthetic | W_hospital | W_pos
-
 type case = {
   index : int;
   engine : engine_kind;
-  workload : workload_kind;
-  nodes : int;
-  replicas : int;
-      (** replication factor; [> 1] only for [E3v_repl] cases (always at
-          least one data-node crash atom) and [E3v_fd] cases (heartbeat
-          failure detector on, always at least one heartbeat-loss atom) *)
-  shards : int;
-      (** shard count; [> 1] only for [E3v_shard] cases (four replicated
-          shard blocks, per-shard coordinators, synthetic shard-confined
-          workload, always at least one replica-crash atom) *)
-  seed : int;  (** simulation + workload RNG seed *)
-  fault_seed : int;
-  rate : float;
-  read_ratio : float;
-  nc_ratio : float;
-  duration : float;
-  atoms : atom list;
+  scenario : Scenario.t;
+      (** the run: for strict engines exactly what [threev_sim run]
+          replays. Replicated ([E3v_repl], [E3v_fd]) cases are k = 3 with
+          at least one crash or heartbeat-loss atom; [E3v_fd] cases pin the
+          detector on; [E3v_shard] cases are four replicated shard blocks
+          over the synthetic workload with at least one replica crash. *)
+  atoms : Scenario.atom list;
+      (** the scenario's atoms in generation order — the order the sweep
+          log prints and the shrinker walks *)
 }
 
 (** Pure derivation: same [(fuzz_seed, index, quick)] → same case. Engines
@@ -81,7 +52,11 @@ type case = {
     matrix. *)
 val case_of_index : fuzz_seed:int -> quick:bool -> int -> case
 
-type check = { check_name : string; ok : bool; detail : string }
+type check = Scenario.check = {
+  check_name : string;
+  ok : bool;
+  detail : string;
+}
 
 type verdict =
   | Clean  (** every applicable checker passed *)
@@ -95,7 +70,7 @@ type case_report = {
   verdict : verdict;
   committed : int;
   unfinished : int;
-  shrunk : atom list option;
+  shrunk : Scenario.atom list option;
       (** minimal failing fault-atom subset, when shrinking applied *)
   reproducers : string list;  (** command lines, most precise first *)
 }

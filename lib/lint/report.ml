@@ -60,182 +60,7 @@ let render_human ppf t =
 
 (* ----------------------------------------------------------------- JSON *)
 
-(* Minimal JSON value type with a printer and a parser, covering exactly
-   what the lint/v1 report needs (null/bool/int/string/list/object). The
-   parser exists so tests can assert the report round-trips. *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Int of int
-  | String of string
-  | List of json list
-  | Obj of (string * json) list
-
-let escape_string s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let rec print_json buf = function
-  | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | String s ->
-      Buffer.add_char buf '"';
-      Buffer.add_string buf (escape_string s);
-      Buffer.add_char buf '"'
-  | List l ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i v ->
-          if i > 0 then Buffer.add_char buf ',';
-          print_json buf v)
-        l;
-      Buffer.add_char buf ']'
-  | Obj kvs ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          print_json buf (String k);
-          Buffer.add_char buf ':';
-          print_json buf v)
-        kvs;
-      Buffer.add_char buf '}'
-
-let json_to_string j =
-  let buf = Buffer.create 1024 in
-  print_json buf j;
-  Buffer.contents buf
-
-exception Parse_error of string
-
-let json_of_string s =
-  let pos = ref 0 in
-  let len = String.length s in
-  let peek () = if !pos < len then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at %d" msg !pos)) in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %c" c)
-  in
-  let literal word v =
-    String.iter (fun c -> expect c) word;
-    v
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some '"' -> advance (); Buffer.add_char buf '"'; go ()
-          | Some '\\' -> advance (); Buffer.add_char buf '\\'; go ()
-          | Some 'n' -> advance (); Buffer.add_char buf '\n'; go ()
-          | Some 't' -> advance (); Buffer.add_char buf '\t'; go ()
-          | Some 'r' -> advance (); Buffer.add_char buf '\r'; go ()
-          | Some 'u' ->
-              advance ();
-              if !pos + 4 > len then fail "truncated \\u escape";
-              let hex = String.sub s !pos 4 in
-              pos := !pos + 4;
-              let code = int_of_string ("0x" ^ hex) in
-              (* Report strings only escape control chars, which fit a
-                 single byte. *)
-              Buffer.add_char buf (Char.chr (code land 0xff));
-              go ()
-          | _ -> fail "bad escape")
-      | Some c ->
-          advance ();
-          Buffer.add_char buf c;
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some 'n' -> literal "null" Null
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some '"' -> String (parse_string ())
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then (advance (); List [])
-        else
-          let rec items acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); items (v :: acc)
-            | Some ']' -> advance (); List (List.rev (v :: acc))
-            | _ -> fail "expected , or ]"
-          in
-          items []
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then (advance (); Obj [])
-        else
-          let rec items acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); items ((k, v) :: acc)
-            | Some '}' -> advance (); Obj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected , or }"
-          in
-          items []
-    | Some ('-' | '0' .. '9') ->
-        let start = !pos in
-        if peek () = Some '-' then advance ();
-        let rec digits () =
-          match peek () with
-          | Some '0' .. '9' ->
-              advance ();
-              digits ()
-          | _ -> ()
-        in
-        digits ();
-        Int (int_of_string (String.sub s start (!pos - start)))
-    | Some c -> fail (Printf.sprintf "unexpected %c" c)
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> len then fail "trailing garbage";
-  v
+open Json
 
 let to_json t =
   let finding_obj f =
@@ -248,7 +73,7 @@ let to_json t =
         ("msg", String f.msg);
       ]
   in
-  json_to_string
+  Json.to_string
     (Obj
        [
          ("schema", String schema_version);
@@ -264,12 +89,10 @@ let to_json t =
    one failure mode for "this is not a lint report". The [total]/[counts]
    fields are derived data and are recomputed by [make], not trusted. *)
 
-let field k = function
-  | Obj kvs -> (
-      match List.assoc_opt k kvs with
-      | Some v -> v
-      | None -> raise (Parse_error (Printf.sprintf "missing field %S" k)))
-  | _ -> raise (Parse_error "expected an object")
+let field k j =
+  match Json.member k j with
+  | Some v -> v
+  | None -> raise (Parse_error (Printf.sprintf "missing field %S" k))
 
 let as_int k = function
   | Int i -> i
@@ -289,7 +112,7 @@ let finding_of_json j =
   }
 
 let of_json s =
-  let j = json_of_string s in
+  let j = Json.of_string s in
   (match field "schema" j with
   | String ("lint/v1" | "lint/v2") -> ()
   | String other ->

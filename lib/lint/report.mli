@@ -2,10 +2,10 @@
 
     A {!finding} is one diagnostic anchored at a source position; a {!t}
     aggregates the findings of a whole run together with the waiver and
-    allowlist accounting. The JSON side ships its own minimal value type,
-    printer and parser so the report both round-trips ({!of_json}) and can
-    serve as the ratchet baseline ({!diff}) without external
-    dependencies. *)
+    allowlist accounting. The JSON side uses the minimal value type,
+    printer and parser of {!Json}, so the report both round-trips
+    ({!of_json}) and can serve as the ratchet baseline ({!diff}) without
+    external dependencies. *)
 
 type finding = {
   file : string;  (** repo-relative path, ['/']-separated *)
@@ -59,7 +59,8 @@ val to_json : t -> string
 (** Parse a report document back into a {!t}. Accepts the current
     ["lint/v2"] schema and the legacy ["lint/v1"] (same field layout);
     derived fields ([total], [counts]) are recomputed, not trusted.
-    @raise Parse_error on malformed JSON or a report of the wrong shape. *)
+    @raise Json.Parse_error on malformed JSON or a report of the wrong
+    shape. *)
 val of_json : string -> t
 
 (** [diff ~baseline current] is the ratchet: the findings of [current]
@@ -67,21 +68,3 @@ val of_json : string -> t
     on [(file, rule, msg)]. Lines are not part of the key, so pure line
     drift (an edit above an old finding) never makes it "new". *)
 val diff : baseline:finding list -> finding list -> finding list
-
-(** Minimal JSON values — exactly the subset the report emits. *)
-type json =
-  | Null
-  | Bool of bool
-  | Int of int
-  | String of string
-  | List of json list
-  | Obj of (string * json) list
-
-(** Serialize [json] (no insignificant whitespace). *)
-val json_to_string : json -> string
-
-exception Parse_error of string
-
-(** Parse a JSON document produced by {!json_to_string} / {!to_json}.
-    @raise Parse_error on malformed input. *)
-val json_of_string : string -> json

@@ -57,7 +57,6 @@ let network t = t.net
 let retransmissions t = t.retransmissions
 let dup_dropped t = t.dup_dropped
 let acks_sent t = t.acks_sent
-let unacked t = Hashtbl.length t.pending
 
 let ack_floor t ~src ~dst =
   match Hashtbl.find_opt t.ack_floor (src, dst) with Some f -> f | None -> 0

@@ -68,10 +68,6 @@ val dup_dropped : 'm t -> int
 (** Acknowledgement packets sent. *)
 val acks_sent : 'm t -> int
 
-(** Data packets currently sent but not yet acknowledged (0 when [acks] is
-    off). *)
-val unacked : 'm t -> int
-
 (** Unacknowledged data packets addressed to [dst] — the catch-up backlog a
     crashed node is still owed. A recovering replica is fully caught up
     once this drains to 0 (every retransmitted message it slept through has

@@ -23,5 +23,4 @@ let with_permit sim s f =
       release s;
       raise exn
 
-let available s = s.permits
 let waiting s = Queue.length s.waiters

@@ -18,8 +18,6 @@ val release : t -> unit
     [f] raises. *)
 val with_permit : Sim.t -> t -> (unit -> 'a) -> 'a
 
-(** Currently available permits. *)
-val available : t -> int
 
 (** Number of processes blocked in {!acquire}. *)
 val waiting : t -> int

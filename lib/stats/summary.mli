@@ -20,9 +20,6 @@ val mean : t -> float
 (** Unbiased sample variance; 0. with fewer than two observations. *)
 val variance : t -> float
 
-(** Sample standard deviation. *)
-val stddev : t -> float
-
 val min : t -> float
 (** Minimum observation; [infinity] when empty. *)
 

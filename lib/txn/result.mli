@@ -36,8 +36,5 @@ val blocking_latency : t -> float
 (** [committed r] is true iff the outcome is [Committed]. *)
 val committed : t -> bool
 
-(** Prints "committed" or "aborted(reason)". *)
-val pp_outcome : Format.formatter -> outcome -> unit
-
 (** One-line result summary: txn id, outcome, version, timings. *)
 val pp : Format.formatter -> t -> unit

@@ -7,6 +7,7 @@ module Sim = Simul.Sim
 module Engine = Threev.Engine
 module Runner = Harness.Runner
 module Fuzz = Harness.Fuzz
+module Scenario = Harness.Scenario
 module Srz = Checker.Serializability
 
 let checkb = Alcotest.(check bool)
@@ -45,27 +46,28 @@ let engines_rotate () =
         ]);
   (* Replicated cases always carry at least one data-node crash. *)
   let repl_case = Fuzz.case_of_index ~fuzz_seed:1 ~quick:true 5 in
-  checkb "replicated case is k=3" true (repl_case.Fuzz.replicas = 3);
+  checkb "replicated case is k=3" true (repl_case.Fuzz.scenario.Scenario.replicas = 3);
   checkb "replicated case crashes a replica" true
     (List.exists
-       (function Fuzz.Crash _ -> true | _ -> false)
+       (function Scenario.Crash _ -> true | _ -> false)
        repl_case.Fuzz.atoms);
   (* Failure-detector cases always carry a heartbeat-loss storm. *)
   let fd_case = Fuzz.case_of_index ~fuzz_seed:1 ~quick:true 6 in
   checkb "fd case is 3v-fd" true (fd_case.Fuzz.engine = Fuzz.E3v_fd);
-  checkb "fd case is k=3" true (fd_case.Fuzz.replicas = 3);
+  checkb "fd case is k=3" true (fd_case.Fuzz.scenario.Scenario.replicas = 3);
   checkb "fd case storms heartbeats" true
     (List.exists
-       (function Fuzz.Hb_loss _ -> true | _ -> false)
+       (function Scenario.Hb_loss _ -> true | _ -> false)
        fd_case.Fuzz.atoms);
   (* Sharded cases always crash a replica inside some shard block. *)
   let shard_case = Fuzz.case_of_index ~fuzz_seed:1 ~quick:true 7 in
   checkb "shard case is 3v-shard" true (shard_case.Fuzz.engine = Fuzz.E3v_shard);
   checkb "shard case is S=4 k=2" true
-    (shard_case.Fuzz.shards = 4 && shard_case.Fuzz.replicas = 2);
+    (shard_case.Fuzz.scenario.Scenario.shards = 4
+    && shard_case.Fuzz.scenario.Scenario.replicas = 2);
   checkb "shard case crashes a replica" true
     (List.exists
-       (function Fuzz.Crash _ -> true | _ -> false)
+       (function Scenario.Crash _ -> true | _ -> false)
        shard_case.Fuzz.atoms)
 
 let verdict_tag = function

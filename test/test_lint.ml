@@ -512,28 +512,28 @@ let report_json_roundtrips =
   QCheck.Test.make ~name:"report JSON round-trips, counts sum to total"
     ~count:300 arbitrary_report (fun r ->
       let doc = Report.to_json r in
-      let json = Report.json_of_string doc in
-      let fields = match json with Report.Obj kvs -> kvs | _ -> [] in
+      let json = Json.of_string doc in
+      let fields = match json with Json.Obj kvs -> kvs | _ -> [] in
       let int_field name =
         match List.assoc_opt name fields with
-        | Some (Report.Int n) -> n
+        | Some (Json.Int n) -> n
         | _ -> -1
       in
       let counts_sum =
         match List.assoc_opt "counts" fields with
-        | Some (Report.Obj kvs) ->
+        | Some (Json.Obj kvs) ->
             List.fold_left
               (fun acc (_, v) ->
-                match v with Report.Int n -> acc + n | _ -> acc)
+                match v with Json.Int n -> acc + n | _ -> acc)
               0 kvs
         | _ -> -1
       in
       let findings_len =
         match List.assoc_opt "findings" fields with
-        | Some (Report.List l) -> List.length l
+        | Some (Json.List l) -> List.length l
         | _ -> -1
       in
-      Report.json_to_string json = doc
+      Json.to_string json = doc
       && int_field "total" = Report.total r
       && counts_sum = Report.total r
       && findings_len = Report.total r)
@@ -553,10 +553,10 @@ let json_gen =
   let scalar =
     oneof
       [
-        return Report.Null;
-        map (fun b -> Report.Bool b) bool;
-        map (fun i -> Report.Int i) small_signed_int;
-        map (fun s -> Report.String s) (string_size (0 -- 12));
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Int i) small_signed_int;
+        map (fun s -> Json.String s) (string_size (0 -- 12));
       ]
   in
   sized_size (0 -- 3) (fun fuel ->
@@ -567,10 +567,10 @@ let json_gen =
             oneof
               [
                 scalar;
-                map (fun l -> Report.List l)
+                map (fun l -> Json.List l)
                   (list_size (0 -- 4) (self (fuel - 1)));
                 map
-                  (fun kvs -> Report.Obj kvs)
+                  (fun kvs -> Json.Obj kvs)
                   (list_size (0 -- 4)
                      (pair (string_size (0 -- 6)) (self (fuel - 1))));
               ])
@@ -579,7 +579,7 @@ let json_gen =
 let json_value_roundtrips =
   QCheck.Test.make ~name:"json value print/parse round-trips" ~count:500
     (QCheck.make json_gen) (fun j ->
-      Report.json_of_string (Report.json_to_string j) = j)
+      Json.of_string (Json.to_string j) = j)
 
 (* The typed round-trip: [of_json] inverts [to_json] up to the derived
    fields it recomputes — i.e. exactly, since [make] canonicalizes both
@@ -605,7 +605,7 @@ let of_json_rejects_garbage () =
   let rejects doc =
     match Report.of_json doc with
     | _ -> Alcotest.failf "accepted %S" doc
-    | exception Report.Parse_error _ -> ()
+    | exception Json.Parse_error _ -> ()
   in
   rejects "{\"schema\":\"lint/v3\",\"findings\":[]}";
   rejects "{\"findings\":[]}";
