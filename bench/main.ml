@@ -119,6 +119,13 @@ let bench_checker =
     (Staged.stage (fun () ->
          ignore (Checker.Atomicity.check (Lazy.force checker_history))))
 
+(* F1 family: the MVSG certifier (Theorem 1) over the same history. *)
+let bench_certify =
+  Test.make ~name:"f1: MVSG certify (1k txns)"
+    (Staged.stage (fun () ->
+         ignore
+           (Checker.Serializability.certify (Lazy.force checker_history))))
+
 (* E3/E8 family: staleness measurement over the same history. *)
 let bench_staleness =
   Test.make ~name:"e3: staleness measure (1k txns)"
@@ -141,7 +148,8 @@ let bench_sim_kernel =
 let micro_tests =
   [
     bench_table1; bench_small_run; bench_store_write; bench_counter_poll;
-    bench_lockmgr; bench_checker; bench_staleness; bench_sim_kernel;
+    bench_lockmgr; bench_checker; bench_certify; bench_staleness;
+    bench_sim_kernel;
   ]
 
 let run_micro () =
@@ -761,7 +769,7 @@ let run_scale_smoke () =
 
 (* ------------------------------------------------- replication suite *)
 
-(* The BENCH repl trajectory: end-to-end runs at 64 nodes comparing k = 1
+(* The BENCH repl trajectory: end-to-end runs at 63 nodes comparing k = 1
    (replication disabled, every group a singleton) against k = 3 (every
    commuting write mirrored to two extra replicas, reads failing over along
    the group order). Rows record the replication overhead — mirror count,
@@ -828,11 +836,12 @@ let repl_json rows =
   Buffer.add_string buf "\n  ]\n}\n";
   Buffer.contents buf
 
-(* `main.exe repl [--quick]`: k = 1 vs k = 3 at 64 nodes; write
-   BENCH_repl.json from the repo root. --quick shrinks to 16 nodes and
-   skips the file write. *)
+(* `main.exe repl [--quick]`: k = 1 vs k = 3 at 63 nodes; write
+   BENCH_repl.json from the repo root. --quick shrinks to 15 nodes and
+   skips the file write. Node counts are multiples of k = 3: replica
+   groups must tile the nodes. *)
 let run_repl ~quick =
-  let nodes = if quick then 16 else 64 in
+  let nodes = if quick then 15 else 63 in
   let duration = if quick then 0.3 else 1.0 in
   let settle = if quick then 1.5 else 3.0 in
   let rate = 100. *. float_of_int nodes in
@@ -857,7 +866,7 @@ let run_repl ~quick =
 
 (* -------------------------------------------- failure-detector suite *)
 
-(* The BENCH fd trajectory: 16-node k = 3 runs measuring what oracle-free
+(* The BENCH fd trajectory: 15-node k = 3 runs measuring what oracle-free
    liveness costs. Three rows into BENCH_fd.json: detector off (baseline),
    detector on (heartbeat overhead: side-network messages, extra simulator
    events, machine cost), and detector on under a false-suspicion storm
@@ -974,11 +983,12 @@ let fd_json rows =
   Buffer.add_string buf "\n  ]\n}\n";
   Buffer.contents buf
 
-(* `main.exe fd [--quick]`: detector off / on / on-under-storm at 16 nodes;
-   write BENCH_fd.json from the repo root. --quick shrinks to 8 nodes and
-   skips the file write. *)
+(* `main.exe fd [--quick]`: detector off / on / on-under-storm at 15 nodes;
+   write BENCH_fd.json from the repo root. --quick shrinks to 9 nodes and
+   skips the file write. Node counts are multiples of k = 3: replica
+   groups must tile the nodes. *)
 let run_fd ~quick =
-  let nodes = if quick then 8 else 16 in
+  let nodes = if quick then 9 else 15 in
   let duration = if quick then 0.4 else 1.0 in
   let settle = if quick then 1.5 else 3.0 in
   let rate = 100. *. float_of_int nodes in

@@ -1,6 +1,5 @@
 module Spec = Txn.Spec
 module Result = Txn.Result
-module Value = Txn.Value
 
 type report = {
   reads_checked : int;
@@ -10,42 +9,22 @@ type report = {
   examples : (int * int) list;
 }
 
-(* An update transaction "has effect" if it committed, or aborted through
-   compensation (compensation leaves its writer tags on every key it
-   touched, with a net-zero amount — still atomic from a reader's view). *)
-let has_effect (res : Result.t) =
-  match res.Result.outcome with
-  | Result.Committed -> true
-  | Result.Aborted "compensated" -> true
-  | Result.Aborted _ -> false
-
-module Int_set = Set.Make (Int)
-module Str_map = Map.Make (String)
+module Ix = History_index
+module Ibuf = History_index.Ibuf
 
 let check history =
-  (* Index effect-ful updates: txn id -> written key set; key -> writer ids. *)
-  let update_keys = Hashtbl.create 256 in
-  let writers_by_key = Hashtbl.create 256 in
-  let effectless = Hashtbl.create 64 in
-  List.iter
-    (fun ((spec : Spec.t), (res : Result.t)) ->
-      if spec.Spec.kind <> Spec.Read_only then begin
-        if has_effect res then begin
-          let keys = Spec.keys_written spec in
-          Hashtbl.replace update_keys spec.Spec.id keys;
-          List.iter
-            (fun k ->
-              let cur =
-                match Hashtbl.find_opt writers_by_key k with
-                | Some ids -> ids
-                | None -> []
-              in
-              Hashtbl.replace writers_by_key k (spec.Spec.id :: cur))
-            keys
-        end
-        else Hashtbl.replace effectless spec.Spec.id ()
-      end)
-    history;
+  let ix = Ix.build history in
+  let n = Ix.size ix in
+  (* Updates that aborted without effect: observing one is a dirty read. *)
+  let effectless s =
+    (not (Ix.is_writer ix s)) && (Ix.spec ix s).Spec.kind <> Spec.Read_only
+  in
+  (* Per candidate update [u] of the current read [r]: [overlap.(u)] counts
+     the distinct keys both touched, [seen.(u)] those on which [r]
+     observed [u]. [stamp.(u) = r] marks them as current. *)
+  let stamp = Array.make n (-1) in
+  let overlap = Array.make n 0 and seen = Array.make n 0 in
+  let candidates = Ibuf.create () in
   let reads_checked = ref 0 in
   let pairs_checked = ref 0 in
   let partial_reads = ref 0 in
@@ -54,70 +33,53 @@ let check history =
   let note_example r u =
     if List.length !examples < 10 then examples := (r, u) :: !examples
   in
-  List.iter
-    (fun ((spec : Spec.t), (res : Result.t)) ->
-      if spec.Spec.kind = Spec.Read_only && Result.committed res then begin
+  Ix.iter_history ix (fun r ->
+      let spec = Ix.spec ix r in
+      if spec.Spec.kind = Spec.Read_only && Result.committed (Ix.result ix r)
+      then begin
         incr reads_checked;
+        Ibuf.clear candidates;
+        let dirty = ref [] in
         (* Writer tags this read observed, unioned per key. *)
-        let observed =
-          List.fold_left
-            (fun acc (key, value) ->
-              let prev =
-                match Str_map.find_opt key acc with
-                | Some s -> s
-                | None -> Int_set.empty
-              in
-              let tags =
-                Value.Writers.fold Int_set.add value.Value.writers prev
-              in
-              Str_map.add key tags acc)
-            Str_map.empty res.Result.reads
-        in
-        (* Dirty reads: any observed tag belonging to an effect-less abort. *)
-        Str_map.iter
-          (fun _key tags ->
-            Int_set.iter
-              (fun id ->
-                if Hashtbl.mem effectless id then begin
-                  incr dirty_reads;
-                  note_example spec.Spec.id id
-                end)
-              tags)
-          observed;
-        (* Candidate updates: those writing any key this read looked at. *)
-        let candidates =
-          Str_map.fold
-            (fun key _ acc ->
-              match Hashtbl.find_opt writers_by_key key with
-              | None -> acc
-              | Some ids -> List.fold_left (fun a i -> Int_set.add i a) acc ids)
-            observed Int_set.empty
-        in
-        Int_set.iter
+        Ix.iter_observed ix r (fun k tags ->
+            Ix.iter_writers ix k (fun u ->
+                if stamp.(u) <> r then begin
+                  stamp.(u) <- r;
+                  overlap.(u) <- 0;
+                  seen.(u) <- 0;
+                  Ibuf.push candidates u
+                end;
+                overlap.(u) <- overlap.(u) + 1);
+            Ix.merge ix k tags
+              ~hit:(fun u -> seen.(u) <- seen.(u) + 1)
+              ~miss:ignore
+              ~stray:(fun t ->
+                let s = Ix.slot_of_id ix t in
+                if s >= 0 && effectless s then
+                  dirty := (Ix.key_name ix k, t) :: !dirty));
+        (* Dirty reads, in key then tag order. *)
+        List.sort
+          (fun (k1, t1) (k2, t2) ->
+            match String.compare k1 k2 with 0 -> Int.compare t1 t2 | c -> c)
+          !dirty
+        |> List.iter (fun (_, t) ->
+               incr dirty_reads;
+               note_example spec.Spec.id t);
+        (* Partial observations, in update id (= slot) order. *)
+        let partial = ref [] in
+        Ibuf.iter
           (fun u ->
-            match Hashtbl.find_opt update_keys u with
-            | None -> ()
-            | Some written ->
-                let overlap =
-                  List.filter (fun k -> Str_map.mem k observed) written
-                in
-                if List.length overlap >= 2 then begin
-                  incr pairs_checked;
-                  let seen =
-                    List.filter
-                      (fun k ->
-                        Int_set.mem u (Str_map.find k observed))
-                      overlap
-                  in
-                  let n_seen = List.length seen in
-                  if n_seen > 0 && n_seen < List.length overlap then begin
-                    incr partial_reads;
-                    note_example spec.Spec.id u
-                  end
-                end)
-          candidates
-      end)
-    history;
+            if overlap.(u) >= 2 then begin
+              incr pairs_checked;
+              if seen.(u) > 0 && seen.(u) < overlap.(u) then
+                partial := u :: !partial
+            end)
+          candidates;
+        List.sort Int.compare !partial
+        |> List.iter (fun u ->
+               incr partial_reads;
+               note_example spec.Spec.id (Ix.id ix u))
+      end);
   {
     reads_checked = !reads_checked;
     pairs_checked = !pairs_checked;

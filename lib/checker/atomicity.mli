@@ -22,7 +22,10 @@ type report = {
 }
 
 (** [check history] examines every (spec, result) pair of a finished run.
-    Results that are still pending must not be included. *)
+    Results that are still pending must not be included. Cost per read:
+    O(tags observed + writers of the read keys), over the shared dense
+    history index.
+    @raise Invalid_argument if two entries share a transaction id. *)
 val check : (Txn.Spec.t * Txn.Result.t) list -> report
 
 (** True when the report shows no violation of either kind. *)

@@ -23,9 +23,25 @@
       version, so for them the graph degenerates to reads-from +
       anti-dependency edges, which are engine-agnostic and sound.
 
+    The graph is built over a dense index of the history, made once up
+    front: transactions get slots in id order, keys are interned, and each
+    key's effect-ful writers sit in one id-sorted array. Each observation's
+    ascending writer tags are merged against that array, so one pass yields
+    both its reads-from and its anti-dependency edges. Every reads-from
+    edge ends at the reader being processed and every anti-dependency edge
+    starts at it, so a per-slot "last reader" stamp dedups both in O(1),
+    with no hashing. A read therefore costs O(tags observed + writers of
+    the read keys) and allocates nothing per edge. Each edge is one packed
+    int in a buffer sized up front, then an entry of a compressed
+    adjacency row sorted by destination. Version-order edges are rare and
+    keep a small table.
+
     A cycle is reported as a minimal witness: the shortest edge cycle inside
     the smallest strongly-connected component, found by an iterative Tarjan
-    pass followed by breadth-first search. Observed writer tags that no
+    pass over the adjacency arrays followed by breadth-first search. Each
+    witness edge carries the key of the first observation that drew it,
+    preferring reads-from, then anti-dependency, then version-order edges
+    between the same two transactions. Observed writer tags that no
     effect-ful transaction in the history accounts for (dirty reads of true
     aborts) get no node or edge; they are surfaced in [unknown_count] /
     [unknown_tags] and certifiers downstream must treat them as failures in
@@ -63,7 +79,8 @@ type report = {
     shard frontiers advance independently, so version numbers from
     different shards are incomparable and ordering them would fabricate
     edges. Omitted, all writers share one frontier (the historical
-    single-coordinator reading). *)
+    single-coordinator reading).
+    @raise Invalid_argument if two entries share a transaction id. *)
 val certify :
   ?shard_of_node:(int -> int) -> (Txn.Spec.t * Txn.Result.t) list -> report
 

@@ -1,6 +1,5 @@
 module Spec = Txn.Spec
 module Result = Txn.Result
-module Value = Txn.Value
 
 type report = {
   reads : int;
@@ -11,89 +10,67 @@ type report = {
   max_lag : float;
 }
 
-module Int_set = Set.Make (Int)
-module Str_map = Map.Make (String)
+module Ix = History_index
+module Ibuf = History_index.Ibuf
 
 let measure history =
-  (* Committed updates indexed by key, with settlement times. *)
-  let settle_time = Hashtbl.create 256 in
-  let writers_by_key = Hashtbl.create 256 in
-  List.iter
-    (fun ((spec : Spec.t), (res : Result.t)) ->
-      if spec.Spec.kind <> Spec.Read_only && Result.committed res then begin
-        Hashtbl.replace settle_time spec.Spec.id res.Result.complete_time;
-        List.iter
-          (fun k ->
-            let cur =
-              match Hashtbl.find_opt writers_by_key k with
-              | Some ids -> ids
-              | None -> []
-            in
-            Hashtbl.replace writers_by_key k (spec.Spec.id :: cur))
-          (Spec.keys_written spec)
-      end)
-    history;
+  let ix = Ix.build history in
+  let n = Ix.size ix in
+  (* [seen.(u) = r]: read [r] observed [u]'s tag on some key;
+     [judged.(u) = r]: candidate [u] was already weighed for [r]. *)
+  let seen = Array.make n (-1) and judged = Array.make n (-1) in
+  (* Settlement time of each committed update; nan, which compares false
+     against every submit time, for everything else. *)
+  let settled =
+    Array.init n (fun u ->
+        let res = Ix.result ix u in
+        if Ix.is_writer ix u && Result.committed res then
+          res.Result.complete_time
+        else Float.nan)
+  in
+  let keys = Ibuf.create () in
   let reads = ref 0 in
   let reads_with_misses = ref 0 in
   let missed_total = ref 0 in
   let lag_sum = ref 0. in
   let max_lag = ref 0. in
-  List.iter
-    (fun ((spec : Spec.t), (res : Result.t)) ->
+  Ix.iter_history ix (fun r ->
+      let spec = Ix.spec ix r and res = Ix.result ix r in
       if spec.Spec.kind = Spec.Read_only && Result.committed res then begin
         incr reads;
-        let observed =
-          List.fold_left
-            (fun acc (key, value) ->
-              let prev =
-                match Str_map.find_opt key acc with
-                | Some s -> s
-                | None -> Int_set.empty
-              in
-              Str_map.add key
-                (Value.Writers.fold Int_set.add value.Value.writers prev)
-                acc)
-            Str_map.empty res.Result.reads
-        in
-        let candidates =
-          Str_map.fold
-            (fun key _ acc ->
-              match Hashtbl.find_opt writers_by_key key with
-              | None -> acc
-              | Some ids -> List.fold_left (fun a i -> Int_set.add i a) acc ids)
-            observed Int_set.empty
-        in
-        let oldest_miss = ref None in
+        Ibuf.clear keys;
+        Ix.iter_observed ix r (fun k tags ->
+            Ibuf.push keys k;
+            Ix.merge ix k tags
+              ~hit:(fun u -> seen.(u) <- r)
+              ~miss:ignore
+              ~stray:(fun t ->
+                let s = Ix.slot_of_id ix t in
+                if s >= 0 then seen.(s) <- r));
+        (* Candidates: committed updates writing any key this read looked
+           at, settled before it was submitted. *)
+        let oldest_miss = ref infinity in
         let misses = ref 0 in
-        Int_set.iter
-          (fun u ->
-            match Hashtbl.find_opt settle_time u with
-            | Some settled when settled <= res.Result.submit_time ->
-                let seen =
-                  Str_map.exists (fun _ tags -> Int_set.mem u tags) observed
-                in
-                if not seen then begin
-                  incr misses;
-                  oldest_miss :=
-                    Some
-                      (match !oldest_miss with
-                      | None -> settled
-                      | Some prev -> Float.min prev settled)
-                end
-            | _ -> ())
-          candidates;
+        Ibuf.iter
+          (fun k ->
+            Ix.iter_writers ix k (fun u ->
+                if judged.(u) <> r then begin
+                  judged.(u) <- r;
+                  if settled.(u) <= res.Result.submit_time && seen.(u) <> r
+                  then begin
+                    incr misses;
+                    oldest_miss := Float.min !oldest_miss settled.(u)
+                  end
+                end))
+          keys;
         if !misses > 0 then begin
           incr reads_with_misses;
           missed_total := !missed_total + !misses;
-          match !oldest_miss with
-          | Some settled ->
-              let lag = res.Result.submit_time -. settled in
-              lag_sum := !lag_sum +. lag;
-              if lag > !max_lag then max_lag := lag
-          | None -> ()
+          let lag = res.Result.submit_time -. !oldest_miss in
+          lag_sum := !lag_sum +. lag;
+          if lag > !max_lag then max_lag := lag
         end
-      end)
-    history;
+      end);
   {
     reads = !reads;
     reads_with_misses = !reads_with_misses;

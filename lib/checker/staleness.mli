@@ -18,7 +18,8 @@ type report = {
   max_lag : float;  (** worst-case age of a missed update *)
 }
 
-(** [measure history] computes the staleness report of a finished run. *)
+(** [measure history] computes the staleness report of a finished run.
+    @raise Invalid_argument if two entries share a transaction id. *)
 val measure : (Txn.Spec.t * Txn.Result.t) list -> report
 
 (** One-line summary: reads, mean missed, mean/max lag. *)

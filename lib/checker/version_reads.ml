@@ -1,6 +1,5 @@
 module Spec = Txn.Spec
 module Result = Txn.Result
-module Value = Txn.Value
 
 type violation = {
   read_txn : int;
@@ -18,13 +17,7 @@ type report = {
   violation_count : int;
 }
 
-module Int_set = Set.Make (Int)
-
-let has_effect (res : Result.t) =
-  match res.Result.outcome with
-  | Result.Committed -> true
-  | Result.Aborted "compensated" -> true
-  | Result.Aborted _ -> false
+module Ix = History_index
 
 (* Per-shard fencing for sharded histories: a cross-shard read carries one
    read version per shard (its assigned vector), so key [k] must be fenced
@@ -55,102 +48,65 @@ let fence_of ~vector ~shard_of_node (spec : Spec.t) ~default key =
       if !fence < 0 then default else !fence
 
 let check ?(vector = fun _ -> None) ?(shard_of_node = fun _ -> 0) history =
-  (* For each key: the effect-ful updates that wrote it, with their
-     versions. *)
-  let writers_of_key : (string, (int * int) list) Hashtbl.t =
-    Hashtbl.create 256
-  in
-  List.iter
-    (fun ((spec : Spec.t), (res : Result.t)) ->
-      if spec.Spec.kind <> Spec.Read_only && has_effect res then
-        List.iter
-          (fun key ->
-            let cur =
-              match Hashtbl.find_opt writers_of_key key with
-              | Some l -> l
-              | None -> []
-            in
-            Hashtbl.replace writers_of_key key
-              ((spec.Spec.id, res.Result.version) :: cur))
-          (Spec.keys_written spec))
-    history;
+  let ix = Ix.build history in
+  let version = Array.init (Ix.size ix) (fun u -> (Ix.result ix u).Result.version) in
   let reads_checked = ref 0 in
   let observations = ref 0 in
   let violations = ref [] in
   let violation_count = ref 0 in
-  List.iter
-    (fun ((spec : Spec.t), (res : Result.t)) ->
+  Ix.iter_history ix (fun r ->
+      let spec = Ix.spec ix r and res = Ix.result ix r in
       if spec.Spec.kind = Spec.Read_only && Result.committed res then begin
         incr reads_checked;
         let root_v = res.Result.version in
-        (* Union observed writers per key (a key may be read at several
-           subtransactions; under 3V they all resolve the same version). *)
-        let observed = Hashtbl.create 8 in
-        List.iter
-          (fun (key, (value : Value.t)) ->
-            let cur =
-              match Hashtbl.find_opt observed key with
-              | Some s -> s
-              | None -> Int_set.empty
-            in
-            Hashtbl.replace observed key
-              (Value.Writers.fold Int_set.add value.Value.writers cur))
-          res.Result.reads;
-        (* Sorted key order: violations are capped at 20 and escape into
-           the report, so which ones survive must not depend on hash
-           layout. *)
-        Hashtbl.fold (fun key seen acc -> (key, seen) :: acc) observed []
-        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-        |> List.iter (fun (key, seen) ->
+        let found = ref [] in
+        (* Observed writers unioned per key (a key may be read at several
+           subtransactions; under 3V they all resolve the same version),
+           walked against the key's effect-ful writers: those of version
+           <= v are expected, the rest must stay unseen. *)
+        Ix.iter_observed ix r (fun k seen ->
             incr observations;
+            let key = Ix.key_name ix k in
             let v = fence_of ~vector ~shard_of_node spec ~default:root_v key in
-            let writers =
-              match Hashtbl.find_opt writers_of_key key with
-              | Some l -> l
-              | None -> []
-            in
-            let expected =
-              List.filter_map
-                (fun (id, wv) -> if wv <= v then Some id else None)
-                writers
-              |> Int_set.of_list
-            in
-            let known_later =
-              List.filter_map
-                (fun (id, wv) -> if wv > v then Some id else None)
-                writers
-              |> Int_set.of_list
-            in
-            let missing = Int_set.diff expected seen in
-            (* Anything seen that is not expected is either a known
-               higher-version writer that leaked forward into this read, or
-               a writer tag the history cannot account for at all (e.g. a
-               dirty read from an effect-less abort). The two point at very
-               different bugs, so report them separately. *)
-            let surplus = Int_set.diff seen expected in
-            let leaked_future = Int_set.inter surplus known_later in
-            let unknown = Int_set.diff surplus known_later in
-            if
-              not
-                (Int_set.is_empty missing
-                && Int_set.is_empty leaked_future
-                && Int_set.is_empty unknown)
-            then begin
-              incr violation_count;
-              if List.length !violations < 20 then
-                violations :=
-                  {
-                    read_txn = spec.Spec.id;
-                    key;
-                    version = v;
-                    missing = Int_set.elements missing;
-                    leaked_future = Int_set.elements leaked_future;
-                    unknown = Int_set.elements unknown;
-                  }
-                  :: !violations
-            end)
-      end)
-    history;
+            let exact = ref true in
+            Ix.merge ix k seen
+              ~hit:(fun u -> if version.(u) > v then exact := false)
+              ~miss:(fun u -> if version.(u) <= v then exact := false)
+              ~stray:(fun _ -> exact := false);
+            if not !exact then begin
+              (* Anything seen that is not expected is either a known
+                 higher-version writer that leaked forward into this read,
+                 or a writer tag the history cannot account for at all
+                 (e.g. a dirty read from an effect-less abort). The two
+                 point at very different bugs, so report them
+                 separately. *)
+              let missing = ref [] and leaked = ref [] and unknown = ref [] in
+              Ix.merge ix k seen
+                ~hit:(fun u ->
+                  if version.(u) > v then leaked := Ix.id ix u :: !leaked)
+                ~miss:(fun u ->
+                  if version.(u) <= v then missing := Ix.id ix u :: !missing)
+                ~stray:(fun t -> unknown := t :: !unknown);
+              found :=
+                {
+                  read_txn = spec.Spec.id;
+                  key;
+                  version = v;
+                  missing = List.rev !missing;
+                  leaked_future = List.rev !leaked;
+                  unknown = List.rev !unknown;
+                }
+                :: !found
+            end);
+        (* Sorted key order: violations are capped at 20 and escape into
+           the report, so which ones survive must not depend on read
+           order. *)
+        List.sort (fun a b -> String.compare a.key b.key) !found
+        |> List.iter (fun viol ->
+               incr violation_count;
+               if List.length !violations < 20 then
+                 violations := viol :: !violations)
+      end);
   {
     reads_checked = !reads_checked;
     observations = !observations;

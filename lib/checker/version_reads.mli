@@ -46,7 +46,8 @@ type report = {
     shard hosting it (found via the spec tree) instead of the root's
     version — versions from different shards are incomparable. The
     defaults ([vector] constantly [None]) reproduce the single-frontier
-    check exactly. *)
+    check exactly.
+    @raise Invalid_argument if two entries share a transaction id. *)
 val check :
   ?vector:(int -> int array option) ->
   ?shard_of_node:(int -> int) ->
