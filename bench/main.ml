@@ -271,17 +271,7 @@ let replica_crash =
   }
 
 let shard_history_digest (r : Scenario.run) =
-  List.fold_left
-    (fun acc ((spec : Spec.t), res) ->
-      acc
-      lxor Hashtbl.hash
-             ( spec.Spec.id,
-               Txn.Result.committed res,
-               res.Txn.Result.submit_time,
-               Txn.Result.latency res,
-               Txn.Result.blocking_latency res ))
-    0 r.outcome.Harness.Runner.history
-  land 0xffffffff
+  Harness.Runner.history_digest r.outcome
 
 let recorded_shard_digest = 0x1148858e
 

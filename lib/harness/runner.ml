@@ -112,3 +112,17 @@ let drive sim engine gen (setup : setup) =
 
 let atomicity outcome = Checker.Atomicity.check outcome.history
 let staleness outcome = Checker.Staleness.measure outcome.history
+
+let history_digest outcome =
+  List.fold_left
+    (fun acc ((spec : Spec.t), res) ->
+      (* lint: nondet-ok — the recorded golden digests are values of this
+         form; a runtime whose [Hashtbl.hash] differs fails them loudly. *)
+      acc
+      lxor Hashtbl.hash
+             ( spec.Spec.id,
+               Result.committed res,
+               res.Result.submit_time,
+               Result.latency res,
+               Result.blocking_latency res ))
+    0 outcome.history

@@ -47,3 +47,9 @@ val atomicity : outcome -> Checker.Atomicity.report
 
 (** Staleness report for an outcome's history. *)
 val staleness : outcome -> Checker.Staleness.report
+
+(** Order-independent digest of an outcome's history: the [lxor] over its
+    transactions of [Hashtbl.hash (id, committed, submit time, latency,
+    blocking latency)]. Identical runs give identical digests; the
+    recorded golden digests are values of this function. *)
+val history_digest : outcome -> int

@@ -358,7 +358,7 @@ let engine_config sc =
     hb_timeout = sc.hb_timeout;
   }
 
-let run ?(config = Fun.id) ?gen ?(settle = 5.0) sc =
+let run ?(config = Fun.id) ?gen ?(settle = 5.0) ?prepare sc =
   let sim = Sim.create ~seed:sc.seed () in
   let plan = plan sc in
   let faults = Option.map (Fault.Injector.create sim) plan in
@@ -399,6 +399,10 @@ let run ?(config = Fun.id) ?gen ?(settle = 5.0) sc =
                  })),
           None )
   in
+  (match (prepare, engine) with
+  | None, _ -> ()
+  | Some f, Some e -> f sim e
+  | Some _, None -> invalid_arg "Scenario.run: ~prepare needs the 3V engine");
   let setup =
     {
       Runner.default_setup with

@@ -120,11 +120,17 @@ type run = {
 (** Build and drive [sc], settling [settle] (default 5) virtual seconds
     after the window. For knobs the command line cannot express, [config]
     adjusts the 3V configuration and [gen] replaces the workload.
-    @raise Invalid_argument on a malformed atom. *)
+    [prepare sim engine] runs once the 3V engine exists and before the
+    workload starts: the place to schedule an {!Threev.Engine.advance} or
+    inject a pause. What it schedules is ordered exactly as if it were
+    called between [Engine.create] and {!Runner.drive} by hand.
+    @raise Invalid_argument on a malformed atom, or on [prepare] with an
+    engine other than 3V. *)
 val run :
   ?config:(Threev.Engine.config -> Threev.Engine.config) ->
   ?gen:Workload.Generator.t ->
   ?settle:float ->
+  ?prepare:(Simul.Sim.t -> Threev.Engine.t -> unit) ->
   t ->
   run
 

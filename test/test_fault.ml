@@ -159,17 +159,6 @@ let partition_heals () =
 
 (* ------------------------------------------------ determinism *)
 
-let history_digest (outcome : Harness.Runner.outcome) =
-  List.fold_left
-    (fun acc ((spec : Spec.t), (res : Result.t)) ->
-      acc
-      lxor Hashtbl.hash
-             ( spec.Spec.id,
-               Result.committed res,
-               res.Result.submit_time,
-               Result.latency res ))
-    0 outcome.Harness.Runner.history
-
 let run_small ?plan ~reliable () =
   let nodes = 2 in
   let sim = Sim.create ~seed:5 () in
@@ -215,7 +204,9 @@ let same_seed_same_trace () =
   let d1 = Counter_set.get o1.Harness.Runner.stats "fault.drops" in
   checkb "faults actually fired" true (d1 > 0);
   checki "same drops" d1 (Counter_set.get o2.Harness.Runner.stats "fault.drops");
-  checki "identical histories" (history_digest o1) (history_digest o2);
+  checki "identical histories"
+    (Harness.Runner.history_digest o1)
+    (Harness.Runner.history_digest o2);
   checki "same unfinished" o1.Harness.Runner.unfinished
     o2.Harness.Runner.unfinished
 
@@ -224,7 +215,9 @@ let same_seed_same_trace () =
 let empty_plan_is_noop () =
   let o1, _ = run_small ~reliable:false () in
   let o2, _ = run_small ~plan:Plan.none ~reliable:false () in
-  checki "identical histories" (history_digest o1) (history_digest o2);
+  checki "identical histories"
+    (Harness.Runner.history_digest o1)
+    (Harness.Runner.history_digest o2);
   checki "same committed" o1.Harness.Runner.committed
     o2.Harness.Runner.committed
 
@@ -380,7 +373,9 @@ let qcheck_coord_crash =
       if o1.Harness.Runner.unfinished > 0 then
         QCheck.Test.fail_report "transactions left unfinished";
       let o2, _ = run_small ~plan ~reliable:true () in
-      if history_digest o1 <> history_digest o2 then
+      if
+        Harness.Runner.history_digest o1 <> Harness.Runner.history_digest o2
+      then
         QCheck.Test.fail_report "replay diverged across coordinator recovery";
       true)
 

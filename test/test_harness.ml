@@ -210,20 +210,8 @@ let experiment_e4_runs () =
 (* Byte-identical replay: these digests (and event counts) were recorded on
    the pre-optimization kernel (commit 165bd78). The heap/network/trace
    rework must reproduce them exactly — any drift means the optimizations
-   changed a schedule, not just its cost. The digest folds every
-   transaction's (id, committed, submit, latency, blocking latency). *)
-
-let history_digest (outcome : Runner.outcome) =
-  List.fold_left
-    (fun acc ((spec : Spec.t), (res : Result.t)) ->
-      acc
-      lxor Hashtbl.hash
-             ( spec.Spec.id,
-               Result.committed res,
-               res.Result.submit_time,
-               Result.latency res,
-               Result.blocking_latency res ))
-    0 outcome.Runner.history
+   changed a schedule, not just its cost. The digest is
+   {!Runner.history_digest}. *)
 
 let golden_gen nodes =
   Workload.Synthetic.generator
@@ -263,7 +251,7 @@ let golden_e10_style () =
       { Runner.seed = 151; duration = 1.2; settle = 4.0; max_txns = 100_000 }
   in
   check_golden "e10-style" ~digest:0x2350a0b8 ~events:8040
-    (history_digest outcome, Sim.events_executed sim)
+    (Runner.history_digest outcome, Sim.events_executed sim)
 
 (* E13-style: coordinator crash mid-advancement over the reliable channel. *)
 let golden_e13_style () =
@@ -291,7 +279,29 @@ let golden_e13_style () =
       { Runner.seed = 171; duration = 1.2; settle = 5.0; max_txns = 100_000 }
   in
   check_golden "e13-style" ~digest:0x37b0dde9 ~events:9680
-    (history_digest outcome, Sim.events_executed sim)
+    (Runner.history_digest outcome, Sim.events_executed sim)
+
+(* The same e13-style run built by [Scenario.run]: the pre-drive callback
+   must schedule the advancement exactly as the hand assembly above does,
+   so the digest and event count are the hand-built golden's. *)
+let golden_e13_style_scenario () =
+  let nodes = 4 in
+  let r =
+    Harness.Scenario.run ~gen:(golden_gen nodes) ~settle:5.0
+      ~config:(fun c -> { c with Engine.policy = Threev.Policy.Manual })
+      ~prepare:(fun sim e ->
+        Sim.schedule sim ~delay:0.5 (fun () -> ignore (Engine.advance e)))
+      {
+        Harness.Scenario.default with
+        nodes;
+        seed = 171;
+        duration = 1.2;
+        fault_seed = 1713;
+        atoms = [ Coord_crash (0.6, 0.9) ];
+      }
+  in
+  check_golden "e13-style via Scenario.run" ~digest:0x37b0dde9 ~events:9680
+    (Runner.history_digest r.outcome, Sim.events_executed r.sim)
 
 let golden_fault_free () =
   let nodes = 3 in
@@ -310,7 +320,7 @@ let golden_fault_free () =
       { Runner.seed = 99; duration = 1.0; settle = 4.0; max_txns = 100_000 }
   in
   check_golden "fault-free" ~digest:0x36746098 ~events:7474
-    (history_digest outcome, Sim.events_executed sim)
+    (Runner.history_digest outcome, Sim.events_executed sim)
 
 let () =
   Alcotest.run "harness"
@@ -344,6 +354,8 @@ let () =
             golden_e10_style;
           Alcotest.test_case "e13-style replay byte-identical" `Quick
             golden_e13_style;
+          Alcotest.test_case "e13-style via Scenario.run byte-identical"
+            `Quick golden_e13_style_scenario;
           Alcotest.test_case "fault-free replay byte-identical" `Quick
             golden_fault_free;
         ] );

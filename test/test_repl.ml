@@ -282,18 +282,6 @@ let failover_and_recovery_gate () =
    count below were recorded with the group-size-1 path pinned to the
    historical behavior; any drift means replication leaked into k = 1. *)
 
-let history_digest (outcome : Runner.outcome) =
-  List.fold_left
-    (fun acc ((spec : Spec.t), (res : Result.t)) ->
-      acc
-      lxor Hashtbl.hash
-             ( spec.Spec.id,
-               Result.committed res,
-               res.Result.submit_time,
-               Result.latency res,
-               Result.blocking_latency res ))
-    0 outcome.Runner.history
-
 let golden_k1_crash_run () =
   let nodes = 4 in
   let sim = Sim.create ~seed:211 () in
@@ -320,7 +308,7 @@ let golden_k1_crash_run () =
 
 let golden_k1_restart_digest () =
   let outcome, events = golden_k1_crash_run () in
-  let d = history_digest outcome land 0xffffffff in
+  let d = Runner.history_digest outcome in
   checkb
     (Printf.sprintf "k=1 crash digest 0x%08x (got 0x%08x)" 0x2f6d0f2e d)
     true (d = 0x2f6d0f2e);
@@ -328,7 +316,7 @@ let golden_k1_restart_digest () =
   (* Replaying the identical schedule must reproduce the digest — the
      reproducer contract under a node restart. *)
   let outcome2, events2 = golden_k1_crash_run () in
-  checki "replay same digest" d (history_digest outcome2 land 0xffffffff);
+  checki "replay same digest" d (Runner.history_digest outcome2);
   checki "replay same events" events events2
 
 (* -------------------- mcheck: replica crash inside each phase
