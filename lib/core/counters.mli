@@ -24,8 +24,11 @@
     one array store. Versions outside the window (late completions for
     GC'd versions, or versions opened ahead of the floor) spill to a
     hashtable with boxed rows; {!gc_below} advances the window and adopts
-    spill rows it newly covers. Observable behaviour is identical to a
-    plain per-version hash table (see test/test_counters_equiv.ml). *)
+    spill rows it newly covers. Each row also lists, per side, the peers
+    whose count is nonzero in first-touch order, so snapshots and slot
+    reuse cost O(touched peers) rather than O(nodes). Observable behaviour
+    is identical to a plain per-version hash table (see
+    test/test_counters_equiv.ml). *)
 
 type t
 
@@ -34,9 +37,24 @@ type t
     advances. *)
 val window : int
 
+(** A population count of the versions held by a set of tables: for each
+    version, how many of the tables allocated it (in a window slot or a
+    spill row). The engine shares one per shard so its ≤ 3-version check
+    is O(1) while the bound holds. *)
+type tally
+
+(** An empty tally. *)
+val tally : unit -> tally
+
+(** Distinct versions currently held by the tables counted in the tally. *)
+val distinct_versions : tally -> int
+
 (** [create ~nodes] is a counter table for a node in an [nodes]-node system,
-    with no versions allocated yet. *)
+    with no versions allocated yet, counted in a tally of its own. *)
 val create : nodes:int -> t
+
+(** [create_in tally ~nodes] is {!create}, counted in [tally]. *)
+val create_in : tally -> nodes:int -> t
 
 (** [ensure_version t v] allocates zeroed R/C rows for version [v] if absent
     (paper §4.1 step 2 / §4.3 phase 1). *)
@@ -57,15 +75,18 @@ val r : t -> version:int -> dst:int -> int
     was never allocated. *)
 val c : t -> version:int -> src:int -> int
 
-(** [snapshot_r t ~version] is the R row for this node: index [q] holds
-    [R(version) self→q]. When the version was never allocated this is a
-    {e shared} all-zero row — treat every snapshot as immutable (the poll
-    path only ever reads them); allocated versions still return a fresh
-    copy because the live row keeps mutating after the snapshot. *)
+(** [snapshot_r t ~version] is the R row for this node as sparse pairs
+    [[| q0; n0; q1; n1; ... |]]: [ni = R(version) self→qi > 0], one pair
+    per peer with a nonzero count, peers distinct, in the order their
+    counts first became nonzero. Zero counts are omitted; a version never
+    allocated gives [[||]]. The array is fresh (the live row keeps
+    mutating) and holds [2k] words for [k] nonzero peers, whatever the
+    width of the table. *)
 val snapshot_r : t -> version:int -> int array
 
-(** [snapshot_c t ~version] is the C column for this node: index [o] holds
-    [C(version) o→self]. Same sharing contract as {!snapshot_r}. *)
+(** [snapshot_c t ~version] is the C column for this node as sparse pairs
+    [[| o0; n0; ... |]] with [ni = C(version) oi→self > 0]. Same contract
+    as {!snapshot_r}. *)
 val snapshot_c : t -> version:int -> int array
 
 (** Versions currently allocated, ascending ([Int.compare]). Allocates and

@@ -168,8 +168,11 @@ type msg =
           (** polls are namespaced by coordinator epoch: a restarted
               coordinator resets its round counter, so a pre-crash round-k
               reply must not satisfy the post-restart round k *)
-      r_row : int array;
-      c_col : int array;
+      r_pairs : int array;
+      c_pairs : int array;
+          (** the sender's R row and C column for [version] as sparse
+              [(peer, count)] pairs ({!Counters.snapshot_r}): O(touched
+              peers) words, not O(shard width) *)
     }
   | Mirror of { txn_id : int; version : int; source : int; op : Op.t }
       (** group-addressed replica mirror of one committed commuting write:
@@ -262,18 +265,15 @@ type coord = {
   mutable cs_vr : int;
   mutable cs_poll_round : int;
   cs_poll_bufs : (int array array * int array array) array;
-      (** two (r, c) matrix pairs, alternated by poll-round parity. The
-          quiescence loop only ever compares a round against the previous
-          one, so exactly two generations are live at once; reusing two
-          pre-allocated pairs removes the 2·m² fresh-matrix allocation per
-          poll round (megabytes of major-heap churn per round at 512+
-          nodes). Sized per shard: m = members, and a reply's nodes-wide
-          row/column is sliced to the shard's block (cross-shard counter
-          pairs are structurally zero — update trees never leave their
-          shard and read entries open self pairs on arrival). No zeroing
-          between rounds: a reply folds in by fully rewriting its R row
-          and C column, and [matrices_agree ~considered] reads only
-          rows/columns of members that replied. *)
+      (** two (r, c) generations of reply payloads, alternated by
+          poll-round parity: slot [i] holds member [lo + i]'s sparse R row
+          and C column by reference. The quiescence loop only ever compares
+          a round against the previous one, so exactly two generations are
+          live at once, each O(members) words. No clearing between rounds:
+          a reply overwrites its member's slots, and the comparisons read
+          only the slots of members that replied. *)
+  cs_poll_scratch : Repl.Quorum.scratch;
+      (** working space of the settled / unchanged comparisons *)
   mutable cs_advancements : int;
   mutable cs_updates_since_trigger : int;
   mutable cs_divergence_since_trigger : float;
@@ -304,6 +304,9 @@ type t = {
   fd : fd_state option;  (** heartbeat failure detector; [None] when off *)
   trace : Trace.t option;
   counters_live : Counter_set.t;
+  version_tally : Counters.tally array;
+      (** per shard: versions held by its members' counter tables, the
+          O(1) fast path of the ≤ 3-version debug check *)
 }
 
 (* -------------------------------------------------------------- tracing *)
@@ -364,9 +367,9 @@ let live_bump t node version delta = Vwindow.add t.cs.(node.shard).cs_live versi
    its own shard (cross-shard reads open {e self} pairs at the entry node),
    so the peer index into a row is the peer's offset inside the shard
    block. At [shards = 1] this is the identity and rows are nodes-wide —
-   the historical layout. Keeping rows per-shard makes every counter
-   snapshot a poll reply carries O(per) instead of O(nodes), which is
-   where a sharded advancement's machine cost would otherwise hide. *)
+   the historical layout. Keeping rows per-shard bounds every peer index
+   in a poll reply's sparse pairs by [per], the width of the coordinator's
+   comparison scratch. *)
 let[@inline] cnt_ix t node peer = peer - (node.shard * t.per_shard)
 
 (* R(v) node->dst : incremented before a request is issued. *)
@@ -384,9 +387,8 @@ let cstat t name = Counter_set.incr t.counters_live name ()
 (* Distinct version numbers with live counter state anywhere — the paper's
    "three distinct numbers suffice" observation (§4). *)
 (* Dedup while folding: the union holds ≤ 4-ish versions, so linear
-   membership beats building a 3n-element list and sort_uniq-ing it —
-   this runs on every Start_advancement/Do_gc receipt under debug_checks,
-   i.e. O(nodes) times per advancement. *)
+   membership beats building a 3n-element list and sort_uniq-ing it. The
+   debug check only scans when the shard's version tally exceeds 3. *)
 let add_distinct v acc = if List.exists (fun w -> w = v) acc then acc else v :: acc
 
 (* Fold [f] over the counter version sets of one shard's members —
@@ -425,8 +427,13 @@ let live_version_window_shard t ~lo ~n =
   done;
   List.sort Int.compare !acc
 
+(* The tally counts every member, crashed replicas included, and the live
+   union is a subset of the full one, so ≤ 3 tallied versions passes
+   either check; only a wider tally pays for the exact scan. *)
 let check_version_window_shard t ~shard =
-  if t.cfg.debug_checks then begin
+  if t.cfg.debug_checks
+     && Counters.distinct_versions t.version_tally.(shard) > 3
+  then begin
     let lo = shard * t.per_shard and n = t.per_shard in
     let window =
       if t.cfg.replicas > 1 then live_version_window_shard t ~lo ~n
@@ -1254,8 +1261,8 @@ let handle_node_msg t node = function
              version;
              round;
              epoch;
-             r_row = Counters.snapshot_r node.cnt ~version;
-             c_col = Counters.snapshot_c node.cnt ~version;
+             r_pairs = Counters.snapshot_r node.cnt ~version;
+             c_pairs = Counters.snapshot_c node.cnt ~version;
            })
   | Mirror { txn_id; version; source; op } ->
       (* Replica mirror of a committed commuting write: apply it to the
@@ -1493,8 +1500,9 @@ let await_acks t cs ~what ~resend ~matches =
   watch_end cs
 
 (* One asynchronous poll of all R rows / C columns for [version]. Returns
-   (r, c, got) with r.(p).(q) = R(version)pq, c.(p).(q) = C(version)pq and
-   got.(i) marking the nodes whose reply was folded in. Replies are matched
+   (r, c, got) with r.(p) = p's R row and c.(q) = q's C column as sparse
+   pairs (see {!Repl.Quorum.settled}) and got.(i) marking the nodes whose
+   reply was folded in. Replies are matched
    on (epoch, round, version) — the epoch namespaces rounds across
    coordinator restarts — and counted per distinct node. The wait completes
    once every {e required} node (see {!poll_required}) replied; a reply
@@ -1522,7 +1530,7 @@ let poll_counters t cs ~version =
         got);
   while !needed > 0 do
     match coord_recv t cs with
-    | Counter_reply { from_node; version = v; round = rd; epoch = ep; r_row; c_col }
+    | Counter_reply { from_node; version = v; round = rd; epoch = ep; r_pairs; c_pairs }
       when v = version && rd = round && ep = epoch && from_node >= lo
            && from_node < lo + n ->
         let fi = from_node - lo in
@@ -1530,16 +1538,12 @@ let poll_counters t cs ~version =
         else begin
           got.(fi) <- true;
           (* R(v)pq is stored at sender p; C(v)pq at executor q. Rows and
-             columns are shard-local (see {!cnt_ix}): index [q] is the
+             columns are shard-local (see {!cnt_ix}): peer [q] is the
              shard member at [lo + q], and cross-shard pairs do not exist
              (update trees never leave their shard; read entries open self
              pairs on arrival). *)
-          for q = 0 to n - 1 do
-            r.(fi).(q) <- r_row.(q)
-          done;
-          for p = 0 to n - 1 do
-            c.(p).(fi) <- c_col.(p)
-          done;
+          r.(fi) <- r_pairs;
+          c.(fi) <- c_pairs;
           if required.(fi) then decr needed
         end
     | Coord_wake -> ()
@@ -1580,17 +1584,20 @@ let await_quiescence t cs ?(vr_pending = false) ~version () =
   in
   let rec go prev =
     let r, c, got = poll_counters t cs ~version in
-    let settled = Repl.Quorum.matrices_agree ~considered:got r c in
-    let stable =
+    let sc = cs.cs_poll_scratch in
+    let stable () =
       match prev with
       | Some (pr, pc, pg) ->
           let both = Array.mapi (fun i g -> g && got.(i)) pg in
-          Repl.Quorum.matrices_agree ~considered:both pr r
-          && Repl.Quorum.matrices_agree ~considered:both pc c
+          Repl.Quorum.unchanged sc ~considered:both pr r
+          && Repl.Quorum.unchanged sc ~considered:both pc c
       | None -> false
     in
     let full = Array.for_all (fun g -> g) got in
-    let quiet = settled && (stable || not t.cfg.two_wave_quiescence) in
+    let quiet =
+      Repl.Quorum.settled sc ~considered:got ~r ~c
+      && ((not t.cfg.two_wave_quiescence) || stable ())
+    in
     let defer_stranded =
       quiet && (not full) && Vwindow.get cs.cs_live version <> 0
     in
@@ -1941,6 +1948,7 @@ let create sim (cfg : config) ?trace ?node_names ?link_latency ?faults () =
     | Some names when i < Array.length names -> names.(i)
     | _ -> Printf.sprintf "n%d" i
   in
+  let version_tally = Array.init cfg.shards (fun _ -> Counters.tally ()) in
   let nodes =
     Array.init cfg.nodes (fun i ->
         {
@@ -1950,7 +1958,7 @@ let create sim (cfg : config) ?trace ?node_names ?link_latency ?faults () =
           vu = 1;
           vr = 0;
           store = Mvstore.create ();
-          cnt = Counters.create ~nodes:per_shard;
+          cnt = Counters.create_in version_tally.(i / per_shard) ~nodes:per_shard;
           locks = Lockmgr.create sim ~deadlock_timeout:cfg.deadlock_timeout ();
           local_cc = Semaphore.create 1;
           pendings = Hashtbl.create 64;
@@ -1986,8 +1994,8 @@ let create sim (cfg : config) ?trace ?node_names ?link_latency ?faults () =
           cs_poll_round = 0;
           cs_poll_bufs =
             Array.init 2 (fun _ ->
-                ( Array.make_matrix per_shard per_shard 0,
-                  Array.make_matrix per_shard per_shard 0 ));
+                (Array.make per_shard [||], Array.make per_shard [||]));
+          cs_poll_scratch = Repl.Quorum.scratch per_shard;
           cs_advancements = 0;
           cs_updates_since_trigger = 0;
           cs_divergence_since_trigger = 0.;
@@ -2013,6 +2021,7 @@ let create sim (cfg : config) ?trace ?node_names ?link_latency ?faults () =
       fd;
       trace;
       counters_live = Counter_set.create ();
+      version_tally;
     }
   in
   (* The injector owns fault timing; the engine supplies the node-level

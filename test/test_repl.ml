@@ -107,15 +107,26 @@ let quorum_rules () =
   checkb "fully-dead group still required" true
     (req_dead.(3) && req_dead.(4) && req_dead.(5))
 
+(* Rows as sparse (peer, count) payloads: the dense matrices
+   [| [| 1; 2 |]; [| 3; 4 |] |] and [| [| 1; 2 |]; [| 9; 4 |] |]. *)
 let quorum_matrices_agree () =
-  let a = [| [| 1; 2 |]; [| 3; 4 |] |] in
-  let b = [| [| 1; 2 |]; [| 9; 4 |] |] in
+  let a = [| [| 0; 1; 1; 2 |]; [| 0; 3; 1; 4 |] |] in
+  let b = [| [| 0; 1; 1; 2 |]; [| 0; 9; 1; 4 |] |] in
+  let s = Quorum.scratch 2 in
   checkb "differ on a considered pair" true
-    (not (Quorum.matrices_agree ~considered:[| true; true |] a b));
+    (not (Quorum.unchanged s ~considered:[| true; true |] a b));
   checkb "difference at an excused row is ignored" true
-    (Quorum.matrices_agree ~considered:[| true; false |] a b);
+    (Quorum.unchanged s ~considered:[| true; false |] a b);
   checkb "equal matrices agree" true
-    (Quorum.matrices_agree ~considered:[| true; true |] a a)
+    (Quorum.unchanged s ~considered:[| true; true |] a a);
+  (* settled reads c.(q) as column q: the transpose of a agrees with a. *)
+  let a_cols = [| [| 0; 1; 1; 3 |]; [| 0; 2; 1; 4 |] |] in
+  checkb "R = C across the transpose" true
+    (Quorum.settled s ~considered:[| true; true |] ~r:a ~c:a_cols);
+  checkb "R <> C at a considered pair" true
+    (not (Quorum.settled s ~considered:[| true; true |] ~r:b ~c:a_cols));
+  checkb "R <> C only at an excused pair" true
+    (Quorum.settled s ~considered:[| true; false |] ~r:b ~c:a_cols)
 
 (* ---------------------------------------------------------- recovery *)
 

@@ -30,10 +30,11 @@ let counters_basic () =
   Counters.incr_c c ~version:1 ~src:0;
   checki "r" 2 (Counters.r c ~version:1 ~dst:2);
   checki "c" 1 (Counters.c c ~version:1 ~src:0);
-  checkb "snapshot r" true (Counters.snapshot_r c ~version:1 = [| 0; 0; 2 |]);
-  checkb "snapshot c" true (Counters.snapshot_c c ~version:1 = [| 1; 0; 0 |]);
+  (* Snapshots are sparse (peer, count) pairs: R = [0; 0; 2], C = [1; 0; 0]. *)
+  checkb "snapshot r" true (Counters.snapshot_r c ~version:1 = [| 2; 2 |]);
+  checkb "snapshot c" true (Counters.snapshot_c c ~version:1 = [| 0; 1 |]);
   checkb "snapshot of unknown version is zeros" true
-    (Counters.snapshot_r c ~version:9 = [| 0; 0; 0 |])
+    (Counters.snapshot_r c ~version:9 = [||])
 
 let counters_gc () =
   let c = Counters.create ~nodes:2 in
@@ -44,6 +45,57 @@ let counters_gc () =
   Counters.gc_below c 3;
   Alcotest.(check (list int)) "after gc" [ 3 ] (Counters.versions c);
   checki "gc'd reads as zero" 0 (Counters.r c ~version:1 ~dst:0)
+
+(* A poll reply's two snapshots allocate 2 words per nonzero pair plus
+   the array headers, whatever the width of the table: at 512 nodes a
+   dense row would be 513 words, past the minor-heap size limit. *)
+let reply_words ~width ~k =
+  let cnt = Counters.create ~nodes:width in
+  for i = 0 to k - 1 do
+    if i mod 2 = 0 then Counters.incr_r cnt ~version:1 ~dst:(i * 5 mod width)
+    else Counters.incr_c cnt ~version:1 ~src:(i * 3 mod width)
+  done;
+  let before = Gc.minor_words () in
+  let r = Counters.snapshot_r cnt ~version:1 in
+  let c = Counters.snapshot_c cnt ~version:1 in
+  let after = Gc.minor_words () in
+  ignore (Sys.opaque_identity (r, c));
+  int_of_float (after -. before)
+
+let reply_allocation_is_width_independent () =
+  List.iter
+    (fun k ->
+      let w16 = reply_words ~width:16 ~k and w512 = reply_words ~width:512 ~k in
+      checki (Printf.sprintf "k=%d: same words at widths 16 and 512" k) w16 w512;
+      checkb
+        (Printf.sprintf "k=%d: %d words <= 2k + 8" k w512)
+        true
+        (w512 <= (2 * k) + 8))
+    [ 1; 5; 10 ]
+
+(* Words [Engine.create] allocates at 512 nodes with the default config,
+   measured as minor + major - promoted around the call. The figure before
+   replies became sparse, when every coordinator held four 512 x 512 poll
+   matrices, was 4_011_281; they are gone, so at least 4 * 512^2 fewer. *)
+let dense_poll_create_words = 4_011_281
+
+let engine_create_drops_poll_matrices () =
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let sim = Sim.create ~seed:1 () in
+  let cfg = Engine.default_config ~nodes:512 in
+  let before = words () in
+  let eng = Engine.create sim cfg () in
+  let after = words () in
+  ignore (Sys.opaque_identity eng);
+  let w = int_of_float (after -. before) in
+  checkb
+    (Printf.sprintf "create allocates %d words <= %d - 4 * 512^2" w
+       dense_poll_create_words)
+    true
+    (w <= dense_poll_create_words - (4 * 512 * 512))
 
 (* ------------------------------------------------------------ codec *)
 
@@ -688,6 +740,82 @@ let churn_atomic_visibility () =
 
 (* ------------------------------------------------- ablation switches *)
 
+(* The debug check of the paper's ≤ 3-version bound (§4) must still fire:
+   the A2 ablation shape — GC notices not awaited, so an advancement can
+   open version v+1 at a node before v-2 is collected there — trips it. *)
+let a2_shape ~seed =
+  Harness.Scenario.run ~settle:3.0
+    ~config:(fun c ->
+      {
+        c with
+        Engine.latency = Latency.Exponential 0.01;
+        poll_interval = 0.005;
+        await_gc_acks = false;
+        debug_checks = true;
+      })
+    {
+      Harness.Scenario.default with
+      nodes = 5;
+      rate = 1500.;
+      seed;
+      duration = 1.5;
+      period = 0.02;
+    }
+
+let version_window_check_fires () =
+  Alcotest.check_raises "A2 shape, seed 121"
+    (Sim.Process_failure
+       ( "node-n1",
+         Failure
+           "3V invariant violation: 4 distinct versions live (0,1,2,3) in \
+            shard 0; version numbers could not be re-used mod 3" ))
+    (fun () -> ignore (a2_shape ~seed:121));
+  List.iter
+    (fun seed ->
+      match a2_shape ~seed with
+      | _ -> Alcotest.failf "seed %d: the version-window check did not fire" seed
+      | exception Sim.Process_failure (who, Failure msg) ->
+          Alcotest.(check string) (Printf.sprintf "seed %d: node" seed) "node-n3" who;
+          checkb
+            (Printf.sprintf "seed %d: window message (%s)" seed msg)
+            true
+            (String.starts_with ~prefix:"3V invariant violation: 4 distinct versions live" msg))
+    [ 1; 2 ]
+
+(* Under replication the bound is checked over live replicas only. A
+   replica crashed across several advancements keeps its frozen versions,
+   so the shard's version tally (which counts every member) climbs past 3
+   while the live union stays within it: the check must take its exact
+   path and pass. *)
+let version_window_excuses_crashed_replica () =
+  let widest = ref 0 in
+  let r =
+    Harness.Scenario.run
+      ~prepare:(fun sim eng ->
+        let rec sample () =
+          widest := max !widest (List.length (Engine.version_window eng));
+          if Sim.now sim < 2.0 then Sim.schedule sim ~delay:0.005 sample
+        in
+        Sim.schedule sim sample)
+      {
+        Harness.Scenario.default with
+        nodes = 6;
+        replicas = 3;
+        workload = Harness.Scenario.W_synthetic;
+        rate = 50.;
+        duration = 1.5;
+        seed = 7;
+        period = 0.05;
+        atoms = [ Harness.Scenario.Crash (0, 0.2, 1.2) ];
+      }
+  in
+  checkb
+    (Printf.sprintf "all-member window reached %d > 3" !widest)
+    true (!widest > 3);
+  checkb "advanced while the replica was down" true
+    (Engine.advancements_completed (Option.get r.Harness.Scenario.engine) > 10);
+  checki "every transaction settled" 0 r.Harness.Scenario.outcome.Harness.Runner.unfinished
+
 let ablation_no_gc_acks_breaks_bound () =
   (* The same churn that keeps the bound at 3 with acks (churn_version_bound)
      must break it without them — the switch really is load-bearing. *)
@@ -897,6 +1025,20 @@ let () =
         [
           Alcotest.test_case "basic" `Quick counters_basic;
           Alcotest.test_case "gc" `Quick counters_gc;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "reply words independent of width" `Quick
+            reply_allocation_is_width_independent;
+          Alcotest.test_case "create without poll matrices" `Quick
+            engine_create_drops_poll_matrices;
+        ] );
+      ( "version-window",
+        [
+          Alcotest.test_case "A2 shape fires the check" `Quick
+            version_window_check_fires;
+          Alcotest.test_case "crashed replica excused" `Quick
+            version_window_excuses_crashed_replica;
         ] );
       ( "version-codec",
         Alcotest.test_case "basics" `Quick codec_basics
